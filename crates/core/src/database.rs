@@ -11,7 +11,7 @@ use ermia_epoch::{EpochManager, Ticker};
 use ermia_index::BTree;
 use ermia_log::{CheckpointStore, LogManager};
 use ermia_storage::{GarbageCollector, GcPassHook, GcStats, OidArray, TidManager, VersionPool};
-use ermia_telemetry::{EventKind, EventRing, Telemetry};
+use ermia_telemetry::{EventKind, Ring, Telemetry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::DbConfig;
@@ -273,9 +273,6 @@ pub(crate) struct DbInner {
     /// GC statistics, owned here (not by the collector) so counts
     /// survive the GC restarts that DDL triggers.
     pub gc_stats: Arc<GcStats>,
-    /// Flight-recorder ring for background services (GC passes,
-    /// checkpoints, epoch advances); workers get their own rings.
-    pub svc_ring: Arc<EventRing>,
     /// Service state ([`DbState`] as u8): flipped to `Degraded` by the
     /// log's poison hook, back to `Active` by [`Database::resume`]. Read
     /// with a relaxed load on every write operation's admission check.
@@ -301,6 +298,15 @@ pub(crate) struct DbInner {
     /// Pid lockfile on the data directory (`None` for in-memory
     /// databases); held only for its Drop, which removes the file.
     pub _dir_lock: Option<DirLock>,
+}
+
+impl DbInner {
+    /// The tracer's service ring: where background services (GC passes,
+    /// checkpoints, epoch advances, degraded/resumed transitions) record
+    /// their events. Workers get their own rings.
+    pub(crate) fn svc_ring(&self) -> &Ring {
+        self.telemetry.tracer().svc_ring()
+    }
 }
 
 /// A memory-optimized multi-version database (the paper's ERMIA engine).
@@ -346,7 +352,6 @@ impl Database {
         };
         let telemetry = Arc::new(Telemetry::new());
         telemetry.tracer().set_slow_threshold_ns(cfg.trace_slow_us.saturating_mul(1_000));
-        let svc_ring = telemetry.flight().ring();
         let inner = Arc::new(DbInner {
             log,
             tid: TidManager::new(),
@@ -364,7 +369,6 @@ impl Database {
             aborts: AtomicU64::new(0),
             telemetry,
             gc_stats: Arc::new(GcStats::default()),
-            svc_ring,
             state: AtomicU8::new(DbState::Active as u8),
             role: AtomicU8::new(NodeRole::Primary as u8),
             applied: AtomicU64::new(0),
@@ -384,7 +388,7 @@ impl Database {
             inner.log.set_poison_hook(move || {
                 if let Some(db) = weak.upgrade() {
                     db.state.store(DbState::Degraded as u8, Ordering::Release);
-                    db.svc_ring.record(
+                    db.svc_ring().event(
                         EventKind::DbDegraded,
                         db.log.durable_offset(),
                         0,
@@ -400,7 +404,7 @@ impl Database {
             let weak = Arc::downgrade(&inner);
             inner.epoch.set_advance_hook(move |epoch| {
                 if let Some(db) = weak.upgrade() {
-                    db.svc_ring.record(EventKind::EpochAdvance, epoch, 0);
+                    db.svc_ring().event(EventKind::EpochAdvance, epoch, 0);
                 }
             });
         }
@@ -438,9 +442,9 @@ impl Database {
         let arrays: Vec<Arc<OidArray>> =
             self.inner.catalog.read().tables.iter().map(|t| Arc::clone(&t.oids)).collect();
         let on_pass: Option<GcPassHook> = self.inner.cfg.telemetry.then(|| {
-            let ring = Arc::clone(&self.inner.svc_ring);
+            let ring = Arc::clone(self.inner.telemetry.tracer().svc_ring());
             Box::new(move |reclaimed: u64, passes: u64| {
-                ring.record(EventKind::GcPass, reclaimed, passes);
+                ring.event(EventKind::GcPass, reclaimed, passes);
             }) as GcPassHook
         });
         let gc = GarbageCollector::start_with(
@@ -576,7 +580,7 @@ impl Database {
     pub fn resume(&self) -> std::io::Result<()> {
         self.inner.log.resume()?;
         self.inner.state.store(DbState::Active as u8, Ordering::Release);
-        self.inner.svc_ring.record(EventKind::DbResumed, self.inner.log.durable_offset(), 0);
+        self.inner.svc_ring().event(EventKind::DbResumed, self.inner.log.durable_offset(), 0);
         Ok(())
     }
 
@@ -624,7 +628,7 @@ impl Database {
         }
         let removed = self.inner.log.truncate_before(cut)?;
         if self.inner.cfg.telemetry {
-            self.inner.svc_ring.record(EventKind::Checkpoint, cut, removed as u64);
+            self.inner.svc_ring().event(EventKind::Checkpoint, cut, removed as u64);
         }
         Ok(removed)
     }

@@ -53,7 +53,6 @@
 mod config;
 mod database;
 mod metrics;
-mod pool;
 mod profile;
 mod recovery;
 mod shard;
@@ -62,7 +61,6 @@ mod worker;
 
 pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
-pub use pool::{PooledWorker, WorkerPool};
 pub use profile::Breakdown;
 pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats};
 pub use shard::{

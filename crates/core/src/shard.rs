@@ -64,8 +64,7 @@ use ermia_log::{
     DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
 };
 use ermia_telemetry::{
-    EventKind, EventRing, FamilyDef, MetricDesc, MetricKind, Sample, Slab, SpanKind, SpanRing,
-    TraceContext,
+    EventKind, FamilyDef, MetricDesc, MetricKind, Ring, Sample, Slab, SpanKind, TraceContext,
 };
 
 use crate::config::{DbConfig, IsolationLevel};
@@ -253,17 +252,20 @@ static TWOPC_FAMILY: FamilyDef = FamilyDef {
     ],
 };
 
+/// 2PC counters plus the ring the 2PC events land in: the shard-0
+/// engine worker's ring, which this thread already writes.
 pub(crate) struct TwoPcTelemetry {
     slab: Arc<Slab>,
-    ring: Arc<EventRing>,
+    ring: Arc<Ring>,
 }
 
-/// Per-worker tracing state: a span ring (this worker is its single
-/// writer) plus the head-sampling countdown. Created whenever telemetry
-/// is on so wire-traced requests always have a ring to land in;
-/// `sample_n` only governs engine-initiated traces.
+/// Per-worker tracing state: the shard-0 engine worker's ring (spans
+/// share it with that worker's events — one thread, one ring) plus the
+/// head-sampling countdown. Created whenever telemetry is on so
+/// wire-traced requests always have a ring to land in; `sample_n` only
+/// governs engine-initiated traces.
 pub(crate) struct WorkerTrace {
-    ring: Arc<SpanRing>,
+    ring: Arc<Ring>,
     sample_n: u32,
     count: u32,
 }
@@ -515,14 +517,16 @@ impl ShardedDb {
     /// Check out a worker holding one engine [`Worker`] per shard.
     pub fn register_worker(&self) -> ShardedWorker {
         let inner = &self.inner;
-        let workers = inner.dbs.iter().map(|d| d.register_worker()).collect();
+        let workers: Vec<Worker> = inner.dbs.iter().map(|d| d.register_worker()).collect();
         let db0 = &inner.dbs[0];
-        let twopc = db0.inner.cfg.telemetry.then(|| TwoPcTelemetry {
+        // Present iff `cfg.telemetry`, exactly like the ring itself.
+        let ring0 = workers[0].scratch.telemetry.as_ref().map(|t| &t.ring);
+        let twopc = ring0.map(|ring| TwoPcTelemetry {
             slab: db0.telemetry().registry().register_slab(&TWOPC_FAMILY),
-            ring: db0.telemetry().flight().ring(),
+            ring: Arc::clone(ring),
         });
-        let trace = db0.inner.cfg.telemetry.then(|| WorkerTrace {
-            ring: db0.telemetry().tracer().ring(),
+        let trace = ring0.map(|ring| WorkerTrace {
+            ring: Arc::clone(ring),
             sample_n: db0.inner.cfg.trace_sample_n,
             count: 0,
         });
@@ -663,7 +667,7 @@ impl ShardedDb {
             resolved_commits: 0,
             resolved_aborts: 0,
         };
-        let ring = &inner.dbs[0].inner.svc_ring;
+        let ring = inner.dbs[0].inner.svc_ring();
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             for txn in &outcome.in_doubt {
                 let commit = verdicts
@@ -676,7 +680,7 @@ impl ShardedDb {
                 } else {
                     stats.resolved_aborts += 1;
                 }
-                ring.record(EventKind::TwoPcResolve, txn.gtid_lsn, commit as u64);
+                ring.event(EventKind::TwoPcResolve, txn.gtid_lsn, commit as u64);
                 inner.in_doubt.fetch_sub(1, Relaxed);
             }
             stats.per_shard.push(outcome.stats);
@@ -833,23 +837,20 @@ impl ShardedWorker {
         }
     }
 
-    /// This worker's span ring, if telemetry is on. The server threads
+    /// This worker's ring, if telemetry is on. The server threads
     /// wire-traced request spans through here so they land next to the
     /// engine spans of the same worker.
-    pub fn span_ring(&self) -> Option<&Arc<SpanRing>> {
+    pub fn span_ring(&self) -> Option<&Arc<Ring>> {
         self.trace.as_ref().map(|t| &t.ring)
     }
 }
 
 impl Drop for ShardedWorker {
     fn drop(&mut self) {
-        let tel = self.db.inner.dbs[0].telemetry();
+        // The ring is the shard-0 engine worker's; it retires with it.
         if let Some(t) = self.twopc.take() {
+            let tel = self.db.inner.dbs[0].telemetry();
             tel.registry().retire_slab(&TWOPC_FAMILY, &t.slab);
-            tel.flight().retire(&t.ring);
-        }
-        if let Some(t) = self.trace.take() {
-            tel.tracer().retire(&t.ring);
         }
     }
 }
@@ -906,7 +907,7 @@ pub struct ShardedTransaction<'w> {
 #[derive(Clone, Copy)]
 struct ActiveTrace<'w> {
     ctx: TraceContext,
-    ring: &'w SpanRing,
+    ring: &'w Ring,
     start_ns: u64,
     /// Engine-sampled (head sampling) rather than wire-propagated: the
     /// engine owns slow-op capture at commit. Wire-traced ops are
@@ -949,7 +950,7 @@ impl<'w> ShardedTransaction<'w> {
     /// borrows are free of `self`, so callers can record after a
     /// `&mut self` operation.
     #[inline]
-    fn span_start(&self) -> Option<(&'w SpanRing, TraceContext, u64)> {
+    fn span_start(&self) -> Option<(&'w Ring, TraceContext, u64)> {
         self.trace.as_ref().map(|t| (t.ring, t.ctx, t.ring.now_ns()))
     }
 
@@ -1007,7 +1008,7 @@ impl<'w> ShardedTransaction<'w> {
     #[inline]
     fn record_write_span(
         &self,
-        sp: Option<(&'w SpanRing, TraceContext, u64)>,
+        sp: Option<(&'w Ring, TraceContext, u64)>,
         table: TableId,
         shard: Option<usize>,
     ) {
@@ -1486,7 +1487,7 @@ fn two_pc<'w>(
     }
     if let Some(t) = twopc {
         for (i, p) in &prepared {
-            t.ring.record(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
+            t.ring.event(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
         }
     }
 
@@ -1533,7 +1534,7 @@ fn two_pc<'w>(
     if let Some(t) = twopc {
         t.slab.hist(TWOPC_DECIDE_HIST).record(decide_start.elapsed().as_nanos() as u64);
         t.slab.add(TWOPC_CROSS, 1);
-        t.ring.record(EventKind::TwoPcDecide, gtid_lsn, 1);
+        t.ring.event(EventKind::TwoPcDecide, gtid_lsn, 1);
     }
 
     // Finalize: publish every participant in memory, then drop
@@ -1572,8 +1573,8 @@ struct ShardedPoolInner {
     returned: Condvar,
 }
 
-/// A bounded pool of [`ShardedWorker`]s — the sharded analogue of
-/// [`WorkerPool`](crate::WorkerPool). One pooled unit holds a worker on
+/// A bounded pool of [`ShardedWorker`]s, checked out per transaction
+/// (the server's worker pool). One pooled unit holds a worker on
 /// *every* shard, so `capacity` bounds total engine concurrency no
 /// matter how sessions spread across shards: admission control stays a
 /// single global bound.
@@ -2076,6 +2077,22 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!(pool.created(), 2);
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn sharded_checkout_timeout_waits_for_a_return() {
+        let db = ShardedDb::open(DbConfig::in_memory(), 1).unwrap();
+        let pool = ShardedWorkerPool::new(&db, 1);
+        let held = pool.try_checkout().unwrap();
+        assert!(pool.checkout_timeout(Duration::from_millis(20)).is_none());
+        let pool2 = pool.clone();
+        let h = std::thread::spawn(move || {
+            pool2.checkout_timeout(Duration::from_secs(5)).expect("worker returned in time")
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        drop(held);
+        drop(h.join().unwrap());
         assert_eq!(pool.outstanding(), 0);
     }
 

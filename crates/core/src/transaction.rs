@@ -128,7 +128,7 @@ impl<'w> Transaction<'w> {
         let begin = db.view_cut().unwrap_or_else(|| db.inner.log.tail_lsn());
         let (tid, _ctx) = db.inner.tid.acquire(begin, &mut scratch.tid_hint);
         if let Some(t) = &scratch.telemetry {
-            t.ring.record(EventKind::TxnBegin, tid.raw(), 0);
+            t.ring.event(EventKind::TxnBegin, tid.raw(), 0);
         }
         scratch.logbuf.clear();
         scratch.keys.clear();
@@ -837,7 +837,7 @@ impl<'w> Transaction<'w> {
                 // the right reason.
                 let reason = if db.inner.log.is_poisoned() {
                     if let Some(t) = &self.scratch.telemetry {
-                        t.ring.record(EventKind::LogPoison, 1, 0);
+                        t.ring.event(EventKind::LogPoison, 1, 0);
                     }
                     AbortReason::LogFailure
                 } else {
@@ -909,7 +909,7 @@ impl<'w> Transaction<'w> {
         // All updates become visible atomically at this store.
         ctx.commit(cstamp);
         if let Some(t) = &self.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
+            t.ring.event(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
         }
 
         // --- Post-commit ------------------------------------------------
@@ -1011,7 +1011,7 @@ impl<'w> Transaction<'w> {
             Err(_) => {
                 let reason = if db.inner.log.is_poisoned() {
                     if let Some(t) = &self.scratch.telemetry {
-                        t.ring.record(EventKind::LogPoison, 1, 0);
+                        t.ring.event(EventKind::LogPoison, 1, 0);
                     }
                     AbortReason::LogFailure
                 } else {
@@ -1102,7 +1102,7 @@ impl<'w> Transaction<'w> {
         ctx.enter_precommit(cstamp);
         ctx.commit(cstamp);
         if let Some(t) = &self.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
+            t.ring.event(EventKind::TxnCommit, self.tid.raw(), cstamp.raw());
         }
         self.release(true);
         Ok(CommitToken { lsn: cstamp, end_offset: None })
@@ -1179,7 +1179,7 @@ impl<'w> Transaction<'w> {
                 // releasing; an explicit `abort()` call has none.
                 let reason = self.doomed.unwrap_or(AbortReason::UserRequested);
                 t.slab.add(TXN_ABORT_BASE + reason.idx(), 1);
-                t.ring.record(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
+                t.ring.event(EventKind::TxnAbort, self.tid.raw(), reason.idx() as u64);
             }
         }
         self.scratch.breakdown.add(IDX_TXNS, 1);
@@ -1242,7 +1242,7 @@ impl<'w> PreparedTransaction<'w> {
         let txn = &mut self.txn;
         txn.db.inner.tid.ctx(txn.tid).commit(cstamp);
         if let Some(t) = &txn.scratch.telemetry {
-            t.ring.record(EventKind::TxnCommit, txn.tid.raw(), cstamp.raw());
+            t.ring.event(EventKind::TxnCommit, txn.tid.raw(), cstamp.raw());
         }
         let sstamp_final = txn.sstamp;
         let serializable = txn.serializable();

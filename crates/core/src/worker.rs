@@ -14,7 +14,7 @@ use ermia_epoch::EpochHandle;
 use ermia_index::{BTree, LeafSnapshot};
 use ermia_log::TxLogBuffer;
 use ermia_storage::{Version, VersionCache};
-use ermia_telemetry::{EventRing, Slab};
+use ermia_telemetry::{Ring, Slab};
 
 use crate::config::IsolationLevel;
 use crate::database::Database;
@@ -30,13 +30,15 @@ pub struct Worker {
 }
 
 /// This worker's share of the telemetry layer: a [`TXN_FAMILY`] slab for
-/// outcome counters and the chain-length histogram, plus a flight-recorder
-/// event ring. Present iff `cfg.telemetry`; every hot-path touch is one
-/// relaxed increment (or one seqlock-protected slot write for events)
-/// against memory only this thread writes.
+/// outcome counters and the chain-length histogram, plus this thread's
+/// one ring (its flight events, and — for a sharded worker's shard-0
+/// engine worker — the sharded worker's 2PC events and spans too).
+/// Present iff `cfg.telemetry`; every hot-path touch is one relaxed
+/// increment (or one seqlock-protected slot write for records) against
+/// memory only this thread writes.
 pub(crate) struct WorkerTelemetry {
     pub slab: Arc<Slab>,
-    pub ring: Arc<EventRing>,
+    pub ring: Arc<Ring>,
 }
 
 /// Mutable per-thread scratch reused across transactions.
@@ -56,7 +58,7 @@ pub(crate) struct Scratch {
     /// registry for counters nobody reads. Written only by this thread,
     /// so profiling never takes a lock on the transaction path.
     pub breakdown: Arc<Slab>,
-    /// Txn outcome counters + flight ring, when `cfg.telemetry`.
+    /// Txn outcome counters + this thread's ring, when `cfg.telemetry`.
     pub telemetry: Option<WorkerTelemetry>,
     pub reads: Vec<*mut Version>,
     pub writes: Vec<WriteEntry>,
@@ -99,7 +101,7 @@ impl Worker {
         };
         let telemetry = db.inner.cfg.telemetry.then(|| WorkerTelemetry {
             slab: registry.register_slab(&TXN_FAMILY),
-            ring: db.inner.telemetry.flight().ring(),
+            ring: db.inner.telemetry.tracer().ring(),
         });
         Worker {
             db,
@@ -164,7 +166,7 @@ impl Drop for Worker {
         }
         if let Some(t) = &self.scratch.telemetry {
             registry.retire_slab(&TXN_FAMILY, &t.slab);
-            self.db.inner.telemetry.flight().retire(&t.ring);
+            self.db.inner.telemetry.tracer().retire(&t.ring);
         }
     }
 }

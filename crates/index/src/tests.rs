@@ -314,3 +314,55 @@ fn concurrent_readers_during_writes() {
     .unwrap();
     drop(ticker);
 }
+
+#[test]
+fn concurrent_root_splits_lose_no_keys() {
+    // Two writers race from an empty tree, so the early root splits
+    // overlap descents that loaded the old root. A descent that keeps
+    // going through a demoted root files its key in the wrong half;
+    // afterwards the key is missing from point reads and scans.
+    const TREES: usize = 400;
+    const PER: u64 = 1_500;
+    fn hashed(i: u64) -> Vec<u8> {
+        let mut x = i.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (x ^ (x >> 31)).to_be_bytes().to_vec()
+    }
+    let mgr = EpochManager::new("root-split");
+    let (mut lost_gets, mut short_scans) = (0u64, 0usize);
+    for _ in 0..TREES {
+        let t = BTree::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for tid in 0..2u64 {
+                let (t, mgr, start) = (&t, mgr.clone(), &start);
+                s.spawn(move || {
+                    let h = mgr.register();
+                    start.wait();
+                    for i in 0..PER {
+                        let g = h.pin();
+                        let k = i * 2 + tid;
+                        assert_eq!(t.insert(&g, &hashed(k), k), InsertOutcome::Inserted);
+                    }
+                });
+            }
+        });
+        let h = mgr.register();
+        let g = h.pin();
+        for k in 0..PER * 2 {
+            if t.get(&g, &hashed(k)).0 != Some(k) {
+                lost_gets += 1;
+            }
+        }
+        let mut count = 0u64;
+        t.scan(&g, &[], &[0xff; 9], |_| {}, |_, _| {
+            count += 1;
+            ScanControl::Continue
+        });
+        if count != PER * 2 {
+            short_scans += 1;
+        }
+    }
+    assert_eq!((lost_gets, short_scans), (0, 0), "lost gets / short scans over {TREES} trees");
+}

@@ -109,6 +109,9 @@ impl BTree {
             let mut pv = 0u64;
             let mut node = self.root.load(Ordering::Acquire);
             let mut v = unsafe { (*node).read_lock() };
+            if self.root.load(Ordering::Acquire) != node {
+                continue 'restart; // demoted by a root split: see find_leaf
+            }
             loop {
                 let hdr = unsafe { &*node };
                 if !hdr.is_leaf {
@@ -326,6 +329,14 @@ impl BTree {
     fn find_leaf(&self, key: &[u8]) -> Option<(*mut LeafNode, u64)> {
         let mut node = self.root.load(Ordering::Acquire);
         let mut v = unsafe { (*node).read_lock() };
+        // A root split between the load and the read lock demotes `node`
+        // to the left half of the tree and leaves its version consistent,
+        // so no later check would notice the descent covers only part of
+        // the key space. Re-check that it is still the root; any split
+        // after the read lock bumps `v` and fails the usual checks.
+        if self.root.load(Ordering::Acquire) != node {
+            return None;
+        }
         loop {
             let hdr = unsafe { &*node };
             if hdr.is_leaf {

@@ -42,7 +42,7 @@ use ermia::{Database, DbConfig, DdlEntry, IndexRouting, LogApplier, ShardPolicy,
 use ermia_common::lsn::NUM_SEGMENTS;
 use ermia_common::Lsn;
 use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig, WireDdl};
-use ermia_telemetry::{EventKind, EventRing, Sample, SpanKind, SpanRing, TraceContext};
+use ermia_telemetry::{EventKind, Ring, Sample, SpanKind, TraceContext};
 
 /// Chunk source tags of the `FetchChunk` frame.
 const SRC_CHECKPOINT: u8 = 0;
@@ -213,11 +213,11 @@ struct ShardState {
     /// Routing (shard policies, secondary-index rules) rides along on
     /// each entry and is re-installed whenever this changes.
     schema: Vec<WireDdl>,
-    ring: Arc<EventRing>,
-    /// Service span ring of the applying database's tracer: shipping
-    /// rounds record infra `repl-ship` spans here, alongside the
-    /// `repl-apply` spans the engine stitches to shipped trace ids.
-    span_ring: Arc<SpanRing>,
+    /// This shard's shipping loop's ring on the applying database's
+    /// tracer: `repl-applied` events and infra `repl-ship` spans, on the
+    /// same clock as the `repl-apply` spans the engine stitches to
+    /// shipped trace ids.
+    ring: Arc<Ring>,
 }
 
 impl ShardState {
@@ -313,10 +313,9 @@ impl ShardState {
         let blocks = applier.apply_available(&db)?;
 
         let view = db.replica_view();
-        let ring = db.telemetry().flight().ring();
-        let span_ring = Arc::clone(db.telemetry().tracer().svc_ring());
+        let ring = db.telemetry().tracer().ring();
         if blocks > 0 {
-            ring.record(EventKind::ReplApplied, applier.applied_offset(), blocks);
+            ring.event(EventKind::ReplApplied, applier.applied_offset(), blocks);
         }
         Ok(ShardState {
             shard,
@@ -331,7 +330,6 @@ impl ShardState {
             segment_size: status.segment_size,
             schema: status.schema,
             ring,
-            span_ring,
         })
     }
 
@@ -375,17 +373,17 @@ impl ShardState {
         }
         self.schema = status.schema.clone();
 
-        let t0 = self.span_ring.now_ns();
+        let t0 = self.ring.now_ns();
         let mut shipped_bytes = self.ship_blobs(chunk_len)?;
         shipped_bytes += self.ship_log(&status, chunk_len, stats)?;
         if shipped_bytes > 0 {
             // Infra span (no trace id): rounds that moved bytes show up
             // on the replica's timeline next to the stitched apply spans.
-            self.span_ring.record(
+            self.ring.record(
                 &TraceContext::UNTRACED,
                 SpanKind::ReplShip,
                 t0,
-                self.span_ring.now_ns(),
+                self.ring.now_ns(),
                 shipped_bytes,
                 self.shard as u64,
             );
@@ -393,7 +391,7 @@ impl ShardState {
         let blocks = self.applier.apply_available(&self.db)?;
         let applied = self.applier.applied_offset();
         if blocks > 0 {
-            self.ring.record(EventKind::ReplApplied, applied, blocks);
+            self.ring.event(EventKind::ReplApplied, applied, blocks);
         }
         Ok((shipped_bytes, blocks, status.durable_lsn.saturating_sub(applied)))
     }
@@ -696,7 +694,7 @@ impl Drop for Replica {
     fn drop(&mut self) {
         self.serving.telemetry().registry().unregister_group(self.telemetry_group);
         for sh in &self.shards {
-            sh.db.telemetry().flight().retire(&sh.ring);
+            sh.db.telemetry().tracer().retire(&sh.ring);
         }
     }
 }

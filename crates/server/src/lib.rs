@@ -11,7 +11,7 @@
 //!   `RLIMIT_NOFILE` helper for high-fan-in harnesses.
 //! * [`Server`] — an event-driven TCP front end: N epoll shards each
 //!   multiplexing thousands of non-blocking sessions, a bounded
-//!   [`WorkerPool`](ermia::WorkerPool) mapping requests to engine
+//!   [`ShardedWorkerPool`](ermia::ShardedWorkerPool) mapping requests to engine
 //!   workers per transaction, explicit `Busy` load shedding, in-order
 //!   pipelined replies with write-interest-driven partial-write state,
 //!   per-shard durability parkers for sync commits, and graceful

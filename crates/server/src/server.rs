@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ermia::{Database, ShardedDb, ShardedWorkerPool};
-use ermia_telemetry::{EventRing, Sample, SpanRing};
+use ermia_telemetry::{Ring, Sample};
 use parking_lot::Mutex;
 
 use crate::poll::WakeFd;
@@ -131,12 +131,15 @@ pub(crate) struct ShardHandle {
     /// re-probes them at the end of the loop turn (one group-commit
     /// flush usually lands in between) before paying the parker handoff.
     pub deferred: Mutex<Vec<ParkJob>>,
-    /// Span ring for service-layer spans recorded on the shard thread
-    /// (frame decode, run-queue wait, worker checkout, request).
-    pub trace_ring: Arc<SpanRing>,
-    /// Span ring for the shard's durability parker thread (durability
-    /// waits resolved off the event loop).
-    pub parker_ring: Arc<SpanRing>,
+    /// The shard thread's ring: service-layer spans (frame decode,
+    /// run-queue wait, worker checkout, request) and the events the
+    /// event loop observes (session park/resume, chunks shipped, log
+    /// incidents surfaced inline).
+    pub trace_ring: Arc<Ring>,
+    /// The shard's durability parker thread's ring: durability waits
+    /// resolved off the event loop, with their resume and log-incident
+    /// events.
+    pub parker_ring: Arc<Ring>,
     pub stats: ShardStats,
 }
 
@@ -148,11 +151,6 @@ pub(crate) struct ServerState {
     pub shutdown: AtomicBool,
     pub stats: Stats,
     pub shards: Vec<ShardHandle>,
-    /// Flight-recorder ring for service-layer incidents (log stalls and
-    /// poison observed on parker threads, session park/resume). Long-
-    /// lived so the events stay in `DumpEvents` reports after the
-    /// incident.
-    pub svc_ring: Arc<EventRing>,
     /// Collector group in the database's registry; unregistered at
     /// shutdown.
     telemetry_group: u64,
@@ -204,7 +202,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             shards,
-            svc_ring: db.telemetry().flight().ring(),
             telemetry_group,
         });
         // Weak: the registry lives inside the database the state holds,
@@ -267,7 +264,6 @@ impl Server {
         // calls are idempotent, matching this method.
         let telemetry = self.state.db.telemetry();
         telemetry.registry().unregister_group(self.state.telemetry_group);
-        telemetry.flight().retire(&self.state.svc_ring);
         for shard in &self.state.shards {
             telemetry.tracer().retire(&shard.trace_ring);
             telemetry.tracer().retire(&shard.parker_ring);

@@ -7,7 +7,7 @@
 //! non-blocking reads feed a per-connection [`FrameAssembler`]
 //! (incremental decode — no blocking `read_exact`), decoded requests
 //! dispatch against the engine through the shared
-//! [`WorkerPool`](ermia::WorkerPool), and replies flush through a
+//! [`ShardedWorkerPool`](ermia::ShardedWorkerPool), and replies flush through a
 //! bounded per-connection outbound queue with write-interest-driven
 //! partial-write state. Shard 0 additionally owns the (non-blocking)
 //! listener; admission control happens at accept and connections are
@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use ermia::{IsolationLevel, NodeRole, PooledShardedWorker, ShardedCommitToken};
 use ermia_common::LogError;
-use ermia_telemetry::{render_spans, EventKind, Span, SpanKind, SpanRing};
+use ermia_telemetry::{render_spans, EventKind, Ring, Span, SpanKind};
 
 use crate::conn::{
     aborted, engine_isolation, exec_batch_op, exec_request_op, frame_bytes, Conn, FlushState,
@@ -636,7 +636,7 @@ fn dispatch(state: &Arc<ServerState>, handle: &ShardHandle, conn: &mut Conn, pay
 
 /// Close a traced request: record its `request` span and offer it to
 /// tail-based slow-op retention.
-fn finish_trace(state: &ServerState, ring: &SpanRing, tr: &TraceReq) {
+fn finish_trace(state: &ServerState, ring: &Ring, tr: &TraceReq) {
     let now = ring.now_ns();
     ring.record_with_id(&tr.ctx, SpanKind::Request, tr.span_id, tr.t0, now, 0, 0);
     state.db.telemetry().tracer().maybe_capture_slow(
@@ -702,7 +702,7 @@ fn dispatch_top(
         Request::OpenTable { name } => open_table(state, conn, &name),
         Request::Subscribe { shard, from } => do_subscribe(state, conn, shard, from),
         Request::FetchChunk { shard, source, offset, len } => {
-            do_fetch_chunk(state, conn, shard, source, offset, len)
+            do_fetch_chunk(state, handle, conn, shard, source, offset, len)
         }
         Request::Commit { .. } | Request::Abort => {
             conn.push_err(state, ErrorCode::BadState, "no open txn")
@@ -986,7 +986,7 @@ fn park_commit(
         }
         Err(LogError::Timeout) => {} // not yet durable: park for real
         Err(e @ LogError::Poisoned { .. }) => {
-            record_log_incident(state, EventKind::LogPoison, 1);
+            record_log_incident(state, &handle.trace_ring, EventKind::LogPoison, 1);
             let outcome = Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
             conn.push(
                 state,
@@ -1005,14 +1005,14 @@ fn park_commit(
     }
 
     let seq = conn.push_pending(state);
-    state.svc_ring.record(EventKind::SessionParked, conn.token, seq);
+    handle.trace_ring.event(EventKind::SessionParked, conn.token, seq);
     let job = ParkJob { conn: conn.token, seq, token, batch, enqueued: Instant::now(), trace };
     handle.deferred.lock().push(job);
 }
 
 /// Record the durability-wait span for a parked commit resolving now
 /// (wait measured from park time) and close its request span.
-fn finish_parked_trace(state: &ServerState, ring: &SpanRing, job_enqueued: Instant, tr: &TraceReq) {
+fn finish_parked_trace(state: &ServerState, ring: &Ring, job_enqueued: Instant, tr: &TraceReq) {
     let now = ring.now_ns();
     let start = now.saturating_sub(job_enqueued.elapsed().as_nanos() as u64);
     ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
@@ -1039,7 +1039,7 @@ fn drain_deferred(
             Ok(()) => Some(Response::Committed { lsn: job.token.lsn().raw() }),
             Err(LogError::Timeout) => None, // still in flight
             Err(e @ LogError::Poisoned { .. }) => {
-                record_log_incident(state, EventKind::LogPoison, 1);
+                record_log_incident(state, &handle.trace_ring, EventKind::LogPoison, 1);
                 Some(Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() })
             }
         };
@@ -1075,7 +1075,7 @@ fn drain_deferred(
             Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
             None => outcome,
         };
-        state.svc_ring.record(
+        handle.trace_ring.event(
             EventKind::SessionResumed,
             job.conn,
             job.enqueued.elapsed().as_micros() as u64,
@@ -1220,6 +1220,7 @@ fn do_subscribe(state: &Arc<ServerState>, conn: &mut Conn, shard: u32, from: u64
 /// from its `Subscribe` status, never from chunk shape.
 fn do_fetch_chunk(
     state: &Arc<ServerState>,
+    handle: &ShardHandle,
     conn: &mut Conn,
     shard: u32,
     source: u8,
@@ -1282,7 +1283,7 @@ fn do_fetch_chunk(
         },
         _ => return conn.push_err(state, ErrorCode::BadState, "unknown chunk source"),
     };
-    state.svc_ring.record(EventKind::ReplSegmentShipped, offset, data.len() as u64);
+    handle.trace_ring.event(EventKind::ReplSegmentShipped, offset, data.len() as u64);
     conn.push(state, Response::SegmentChunk { offset, data });
 }
 
@@ -1394,6 +1395,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJ
                 Err(LogError::Timeout) => {
                     record_log_incident(
                         &state,
+                        &handle.parker_ring,
                         EventKind::LogStall,
                         state.cfg.sync_wait.as_millis() as u64,
                     );
@@ -1403,7 +1405,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJ
                     }
                 }
                 Err(e @ LogError::Poisoned { .. }) => {
-                    record_log_incident(&state, EventKind::LogPoison, 1);
+                    record_log_incident(&state, &handle.parker_ring, EventKind::LogPoison, 1);
                     Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
                 }
             };
@@ -1414,7 +1416,7 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJ
                 Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
                 None => outcome,
             };
-            state.svc_ring.record(
+            handle.parker_ring.event(
                 EventKind::SessionResumed,
                 job.conn,
                 job.enqueued.elapsed().as_micros() as u64,
@@ -1427,14 +1429,14 @@ pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJ
 }
 
 /// A durability incident just surfaced to a client: stamp it into the
-/// server's long-lived service ring, capture a bounded flight-recorder
-/// dump, park it for later retrieval, and mirror it to stderr. The ring
-/// is not retired, so `DumpEvents` frames sent after the fact still see
-/// the incident.
-fn record_log_incident(state: &ServerState, kind: EventKind, a: u64) {
-    state.svc_ring.record(kind, a, 0);
+/// ring of the thread that observed it (`ring`), capture a bounded
+/// flight-recorder dump, park it for later retrieval, and mirror it to
+/// stderr. The ring lives as long as the server, so `DumpEvents` frames
+/// sent after the fact still see the incident.
+fn record_log_incident(state: &ServerState, ring: &Ring, kind: EventKind, a: u64) {
+    ring.event(kind, a, 0);
     let telemetry = state.db.telemetry();
     let dump = telemetry.dump_events(DEFAULT_DUMP_EVENTS);
-    telemetry.flight().store_last_dump(dump.clone());
+    telemetry.tracer().store_last_dump(dump.clone());
     eprintln!("{dump}");
 }

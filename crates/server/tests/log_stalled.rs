@@ -74,7 +74,7 @@ fn halted_flusher_surfaces_logstalled_within_the_bound() {
     assert!(dump.contains("log-stall"), "dump must show the stall:\n{dump}");
     assert!(dump.contains("txn-commit"), "dump must show recent txn events:\n{dump}");
     // The server also parked the same dump for post-mortem retrieval.
-    let parked = db.telemetry().flight().last_dump();
+    let parked = db.telemetry().tracer().last_dump();
     assert!(
         parked.as_deref().is_some_and(|d| d.contains("log-stall")),
         "incident dump must be stored: {parked:?}"

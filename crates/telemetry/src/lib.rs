@@ -1,6 +1,6 @@
 //! `ermia-telemetry` — the unified observability layer.
 //!
-//! Four pieces, all std-only and allocation-free on the write side:
+//! Three pieces, all std-only and allocation-free on the write side:
 //!
 //! * [`registry`] — per-thread metric slabs (relaxed `AtomicU64`
 //!   counters + [`hist::AtomicHistogram`]s) merged on read, with a
@@ -10,41 +10,41 @@
 //! * [`prom`] — Prometheus text-format exposition: the renderer behind
 //!   the `Metrics` wire frame and HTTP `GET /metrics`, and the parser
 //!   the golden tests / CI smoke use to validate a live scrape.
-//! * [`flight`] — the flight recorder: fixed-size per-worker event
-//!   rings with nanosecond timestamps, merged into a bounded
-//!   human-readable dump on demand or when the log stalls.
-//! * [`trace`] — distributed tracing: per-worker span rings with the
-//!   same seqlock discipline, 128-bit wire-propagated trace ids, a
-//!   worst-K slow-op log, and a Chrome `trace_event` exporter.
+//! * [`trace`] — one fixed-size seqlock [`Ring`] per writer holding both
+//!   flight events (txn begin/commit/abort, log stall/poison, GC,
+//!   checkpoints, 2PC verdicts, …) and distributed-tracing spans, all on
+//!   one nanosecond timebase. The [`Tracer`] merges the rings into the
+//!   bounded `DumpEvents` report (on demand, or automatically when the
+//!   log stalls) and the `DumpTraces` span list, keeps a worst-K
+//!   slow-op log, and mints 128-bit wire-propagated trace ids.
 //!
-//! [`Telemetry`] bundles one registry, one flight recorder, and one
-//! tracer; the database owns one instance and every layer hangs its
-//! instruments off it.
+//! [`Telemetry`] bundles one registry and one tracer; the database owns
+//! one instance and every layer hangs its instruments off it.
 
-mod flight;
 mod hist;
 mod prom;
 mod registry;
 mod trace;
 
-pub use flight::{Event, EventKind, EventRing, FlightRecorder};
 pub use hist::{percentile_sorted, AtomicHistogram, Histogram, BUCKETS};
 pub use prom::{parse_exposition, Exposition, ParsedMetric, SampleLine};
 pub use registry::{FamilyDef, MetricDesc, MetricKind, Registry, Sample, Slab};
 pub use trace::{
-    chrome_trace_json, parse_spans, render_spans, SlowOp, Span, SpanKind, SpanRing,
-    TraceContext, Tracer, DEFAULT_SPAN_RING_CAP, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
+    chrome_trace_json, parse_spans, render_spans, EventKind, Ring, SlowOp, Span, SpanKind,
+    TraceContext, Tracer, SLOW_OP_LOG_CAP, SLOW_OP_SPAN_CAP,
 };
 
 use std::sync::Arc;
 
-/// Default number of slots in each flight-recorder ring.
-pub const DEFAULT_RING_CAP: usize = 512;
+/// Slots in each ring. A hot worker's ring takes two events per
+/// transaction (begin, commit) next to its sampled spans, and a server
+/// event loop's two per parked sync commit; at ~20k records/s this holds
+/// ~200 ms, so a span dump polled every 50 ms still sees every span.
+const RING_CAP: usize = 4096;
 
 /// The per-database telemetry bundle.
 pub struct Telemetry {
     registry: Registry,
-    flight: FlightRecorder,
     tracer: Arc<Tracer>,
 }
 
@@ -57,7 +57,7 @@ impl Default for Telemetry {
 impl Telemetry {
     pub fn new() -> Telemetry {
         let registry = Registry::new();
-        let tracer = Arc::new(Tracer::new(DEFAULT_SPAN_RING_CAP));
+        let tracer = Arc::new(Tracer::new(RING_CAP));
         // The slow-query log rides the standard exposition: a retained-op
         // count plus one labeled latency sample per retained op (the
         // label is the op/table/key/breakdown summary the `ermia_top`
@@ -83,15 +83,11 @@ impl Telemetry {
                 );
             }
         });
-        Telemetry { registry, flight: FlightRecorder::new(DEFAULT_RING_CAP), tracer }
+        Telemetry { registry, tracer }
     }
 
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     pub fn tracer(&self) -> &Arc<Tracer> {
@@ -109,8 +105,9 @@ impl Telemetry {
         self.registry.render()
     }
 
-    /// Bounded flight-recorder dump across all rings.
+    /// Bounded flight-event dump across all rings, in the `DumpEvents`
+    /// text format.
     pub fn dump_events(&self, max_events: usize) -> String {
-        self.flight.dump(max_events)
+        self.tracer.dump_events(max_events)
     }
 }

@@ -1,46 +1,74 @@
-//! Distributed tracing: wait-free per-worker span rings, wire-propagated
-//! trace context, tail-based slow-op capture, and a Chrome
-//! `trace_event` exporter.
+//! Flight events and distributed-tracing spans: one wait-free ring per
+//! writer, one clock, one merge.
 //!
-//! A *span* is one timed step of one request — frame decode, run-queue
-//! wait, worker checkout, a transaction's reads and writes, the
-//! group-commit durability wait, each 2PC prepare/decide leg, a
-//! replica's ship/apply rounds — stamped with a 128-bit trace id and a
-//! parent span id so the steps of one logical operation can be stitched
-//! back together across connections, shards, and the replication
-//! stream.
+//! Every writer — a worker thread, a server event loop or durability
+//! parker, a replica's shipping loop, a database's background services —
+//! owns one [`Ring`]. A slot holds one of two record kinds:
 //!
-//! ## Write side: the flight-recorder discipline
+//! * a **span**: one timed step of one traced request (frame decode,
+//!   run-queue wait, worker checkout, a transaction's reads and writes,
+//!   the group-commit durability wait, each 2PC prepare/decide leg, a
+//!   replica's ship/apply rounds), stamped with a 128-bit trace id and a
+//!   parent span id so the steps of one logical operation can be
+//!   stitched back together across connections, shards, and the
+//!   replication stream;
+//! * a flight **event**: an untraced, zero-duration record of something
+//!   that happened (txn begin/commit/abort, log stall/poison, GC pass,
+//!   checkpoint, epoch advance, 2PC verdicts, session park/resume,
+//!   replication progress) carrying its kind and two payload words.
 //!
-//! Spans land in [`SpanRing`]s with exactly the per-slot seqlock
-//! protocol of [`crate::flight`]: the writer stores `seq = 0`
-//! (release), the payload words (relaxed), then `seq = pos + 1`
-//! (release); a reader takes a slot only if two acquire loads of `seq`
-//! agree. Writers never allocate, never lock, never wait. Each ring is
-//! single-writer (one per worker / shard thread / parker); a reader
-//! racing a lap sees a torn slot and skips it.
+//! Both are stamped in nanoseconds since the owning [`Tracer`]'s single
+//! `Instant` epoch, so an incident dump lines up against the spans
+//! around it.
+//!
+//! ## Slot protocol (per-slot seqlock)
+//!
+//! A slot is `{seq, trace_hi, trace_lo, span_id, parent, kind, start,
+//! dur, a, b}`. The writer claims a position with one relaxed
+//! `fetch_add`, stores `seq = 0` (release), writes the payload words
+//! (relaxed), then stores `seq = pos + 1` (release). A reader loads `seq`
+//! (acquire), skips the slot if it is 0, reads the payload, then
+//! re-loads `seq`; the record is taken only if both loads agree. A
+//! writer lapping a reader therefore can't hand out a half-written
+//! record: the leading `seq = 0` store is release-ordered after the
+//! previous payload and the reader's second load catches any overlap.
+//! Writers never allocate, never lock, and never wait.
+//!
+//! Rings are meant to be single-writer. The one shared exception is a
+//! tracer's service ring ([`Tracer::svc_ring`]), written by background
+//! threads that have no identity of their own (GC, epoch ticker,
+//! checkpointer, recovery). Two writers can only collide on one slot if
+//! one of them stalls for a full ring lap inside the ~20 ns write
+//! section; the worst case is one garbled (never unsafe, never torn
+//! past the seqlock) record — an accepted trade for a zero-coordination
+//! hot path.
+//!
+//! ## Reading
+//!
+//! All the expensive work happens on the read side: [`Tracer`] merges a
+//! snapshot of every registered ring and renders either the event
+//! records (the `DumpEvents` text, on demand or automatically when the
+//! log stalls or poisons) or the span records (the `DumpTraces` text).
+//! The two are told apart by record kind, never by label —
+//! `txn-begin`, `2pc-prepare` and `2pc-decide` name both an event and a
+//! span.
 //!
 //! ## Sampling and retention
 //!
-//! Tracing is *off by default*: an untraced operation costs one
-//! `Option` branch and touches none of this module. Context arrives two
-//! ways:
+//! Events are always on with telemetry. Tracing is *off by default*: an
+//! untraced operation costs one `Option` branch and records no span.
+//! Trace context arrives two ways:
 //!
 //! * **head-based** — a client sends a `TraceContext` on the wire, or
 //!   `DbConfig::trace_sample_n = N` makes the engine trace every Nth
 //!   transaction it begins;
 //! * **tail-based** — a traced operation whose total latency crosses
 //!   the slow threshold is *retained*: its spans are swept out of the
-//!   (otherwise wrapping) rings into the worst-K slow-op log, the
-//!   tracing analog of the flight recorder's auto-capture on
-//!   `LogStalled`.
+//!   (otherwise wrapping) rings into the worst-K slow-op log.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Default number of slots in each span ring.
-pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
 
 /// Spans retained per slow op, and slow ops retained in the worst-K log.
 pub const SLOW_OP_SPAN_CAP: usize = 64;
@@ -77,6 +105,125 @@ impl TraceContext {
     pub fn child(&self, parent: u64) -> TraceContext {
         TraceContext { parent, ..*self }
     }
+}
+
+/// Flight-event taxonomy. Codes are stable (they appear in dumps and
+/// tests).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum EventKind {
+    TxnBegin,
+    TxnCommit,
+    TxnAbort,
+    LogStall,
+    LogPoison,
+    GcPass,
+    Checkpoint,
+    EpochAdvance,
+    /// The database entered degraded read-only mode (log poisoned).
+    DbDegraded,
+    /// The database resumed Active after an operator cleared the fault.
+    DbResumed,
+    /// A server session parked a sync-commit reply on the durability
+    /// parker (the reply slot waits for the log instead of a thread).
+    SessionParked,
+    /// A parked session's commit resolved; its reply slot was filled and
+    /// write interest re-armed.
+    SessionResumed,
+    /// A cross-shard transaction's participant filled its prepare block
+    /// (`a` = participant shard, `b` = prepare cstamp).
+    TwoPcPrepare,
+    /// The coordinator's decision record was written (`a` = gtid lsn,
+    /// `b` = 1 commit / 0 abort).
+    TwoPcDecide,
+    /// Recovery resolved an in-doubt prepared transaction (`a` = gtid
+    /// lsn, `b` = 1 committed / 0 presumed abort).
+    TwoPcResolve,
+    /// The backup shipper served a log chunk to a subscriber (`a` =
+    /// chunk start offset, `b` = bytes shipped).
+    ReplSegmentShipped,
+    /// A replica finished an apply round (`a` = applied-through offset,
+    /// `b` = blocks replayed this round).
+    ReplApplied,
+}
+
+impl EventKind {
+    fn code(self) -> u32 {
+        match self {
+            EventKind::TxnBegin => 1,
+            EventKind::TxnCommit => 2,
+            EventKind::TxnAbort => 3,
+            EventKind::LogStall => 4,
+            EventKind::LogPoison => 5,
+            EventKind::GcPass => 6,
+            EventKind::Checkpoint => 7,
+            EventKind::EpochAdvance => 8,
+            EventKind::DbDegraded => 9,
+            EventKind::DbResumed => 10,
+            EventKind::SessionParked => 11,
+            EventKind::SessionResumed => 12,
+            EventKind::TwoPcPrepare => 13,
+            EventKind::TwoPcDecide => 14,
+            EventKind::TwoPcResolve => 15,
+            EventKind::ReplSegmentShipped => 16,
+            EventKind::ReplApplied => 17,
+        }
+    }
+
+    fn from_code(c: u32) -> Option<EventKind> {
+        Some(match c {
+            1 => EventKind::TxnBegin,
+            2 => EventKind::TxnCommit,
+            3 => EventKind::TxnAbort,
+            4 => EventKind::LogStall,
+            5 => EventKind::LogPoison,
+            6 => EventKind::GcPass,
+            7 => EventKind::Checkpoint,
+            8 => EventKind::EpochAdvance,
+            9 => EventKind::DbDegraded,
+            10 => EventKind::DbResumed,
+            11 => EventKind::SessionParked,
+            12 => EventKind::SessionResumed,
+            13 => EventKind::TwoPcPrepare,
+            14 => EventKind::TwoPcDecide,
+            15 => EventKind::TwoPcResolve,
+            16 => EventKind::ReplSegmentShipped,
+            17 => EventKind::ReplApplied,
+            _ => return None,
+        })
+    }
+
+    pub fn label(self) -> &'static str {
+        match self {
+            EventKind::TxnBegin => "txn-begin",
+            EventKind::TxnCommit => "txn-commit",
+            EventKind::TxnAbort => "txn-abort",
+            EventKind::LogStall => "log-stall",
+            EventKind::LogPoison => "log-poison",
+            EventKind::GcPass => "gc-pass",
+            EventKind::Checkpoint => "checkpoint",
+            EventKind::EpochAdvance => "epoch-advance",
+            EventKind::DbDegraded => "db-degraded",
+            EventKind::DbResumed => "db-resumed",
+            EventKind::SessionParked => "session-parked",
+            EventKind::SessionResumed => "session-resumed",
+            EventKind::TwoPcPrepare => "2pc-prepare",
+            EventKind::TwoPcDecide => "2pc-decide",
+            EventKind::TwoPcResolve => "2pc-resolve",
+            EventKind::ReplSegmentShipped => "repl-segment-shipped",
+            EventKind::ReplApplied => "repl-applied",
+        }
+    }
+}
+
+/// A decoded flight event. `a`/`b` are kind-specific payload words
+/// (tid/lsn, reason code, reclaimed count, …).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Event {
+    /// Nanoseconds since the owning [`Tracer`]'s epoch.
+    ts_ns: u64,
+    kind: EventKind,
+    a: u64,
+    b: u64,
 }
 
 /// Span taxonomy. Codes are stable: they appear in dumps and tests.
@@ -209,9 +356,21 @@ impl Span {
     }
 }
 
+/// One decoded ring slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Record {
+    Span(Span),
+    Event(Event),
+}
+
 const RING_ID_SHIFT: u32 = 48;
 
-struct SpanSlot {
+/// Tag bit on a slot's kind word marking an event (clear = span). Span
+/// and event codes overlap, so the tag, not the code, says which
+/// taxonomy a slot belongs to.
+const EVENT_TAG: u32 = 1 << 31;
+
+struct Slot {
     /// 0 = empty/being written, else position + 1.
     seq: AtomicU64,
     trace_hi: AtomicU64,
@@ -219,52 +378,40 @@ struct SpanSlot {
     span_id: AtomicU64,
     parent: AtomicU64,
     kind: AtomicU32,
+    /// Span start, or the event's timestamp.
     start_ns: AtomicU64,
     dur_ns: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
 }
 
-impl SpanSlot {
-    fn new() -> SpanSlot {
-        SpanSlot {
-            seq: AtomicU64::new(0),
-            trace_hi: AtomicU64::new(0),
-            trace_lo: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            parent: AtomicU64::new(0),
-            kind: AtomicU32::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One writer's span ring: same seqlock slot protocol as
-/// [`crate::EventRing`], wider payload. Safe for concurrent readers;
-/// intended for a single writer.
-pub struct SpanRing {
+/// One writer's ring of spans and events (slot protocol in the module
+/// docs). Safe for concurrent readers; intended for a single writer.
+pub struct Ring {
     epoch: Instant,
     mask: usize,
     pos: AtomicU64,
     /// `ring_number << 48`; ors with a local counter to make span ids.
     id_base: u64,
     next_id: AtomicU64,
-    slots: Box<[SpanSlot]>,
+    slots: Box<[Slot]>,
 }
 
-impl SpanRing {
-    fn new(epoch: Instant, cap: usize, ring_number: u64) -> SpanRing {
+impl Ring {
+    fn new(epoch: Instant, cap: usize, ring_number: u64) -> Ring {
         let cap = cap.next_power_of_two().max(8);
-        SpanRing {
+        Ring {
             epoch,
             mask: cap - 1,
             pos: AtomicU64::new(0),
             id_base: ring_number << RING_ID_SHIFT,
             next_id: AtomicU64::new(1),
-            slots: (0..cap).map(|_| SpanSlot::new()).collect(),
+            // All-zero is the empty slot, so the slots come from zeroed
+            // memory: pages of a ring nobody writes are never touched and
+            // cost no resident memory.
+            // SAFETY: every field of `Slot` is an atomic integer, for
+            // which all-zero bits are a valid value.
+            slots: unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() },
         }
     }
 
@@ -272,8 +419,8 @@ impl SpanRing {
         self.slots.len()
     }
 
-    /// Nanoseconds since the tracer epoch — the span timebase. Every
-    /// ring of one [`Tracer`] shares the epoch, so spans from different
+    /// Nanoseconds since the tracer epoch — the one timebase. Every ring
+    /// of one [`Tracer`] shares the epoch, so records from different
     /// threads land on one comparable timeline.
     #[inline]
     pub fn now_ns(&self) -> u64 {
@@ -287,9 +434,46 @@ impl SpanRing {
         self.id_base | (self.next_id.fetch_add(1, Ordering::Relaxed) & ((1 << RING_ID_SHIFT) - 1))
     }
 
+    /// The seqlock write every record goes through. The flat argument
+    /// list mirrors the slot layout on purpose — no struct is built on
+    /// the hot path.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn write(
+        &self,
+        kind: u32,
+        ctx: &TraceContext,
+        span_id: u64,
+        start_ns: u64,
+        dur_ns: u64,
+        a: u64,
+        b: u64,
+    ) {
+        let pos = self.pos.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[pos as usize & self.mask];
+        slot.seq.store(0, Ordering::Release);
+        slot.trace_hi.store(ctx.trace_hi, Ordering::Relaxed);
+        slot.trace_lo.store(ctx.trace_lo, Ordering::Relaxed);
+        slot.span_id.store(span_id, Ordering::Relaxed);
+        slot.parent.store(ctx.parent, Ordering::Relaxed);
+        slot.kind.store(kind, Ordering::Relaxed);
+        slot.start_ns.store(start_ns, Ordering::Relaxed);
+        slot.dur_ns.store(dur_ns, Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
+        slot.seq.store(pos + 1, Ordering::Release);
+    }
+
+    /// Append a flight event stamped now. Allocation-free, lock-free,
+    /// wait-free.
+    #[inline]
+    pub fn event(&self, kind: EventKind, a: u64, b: u64) {
+        let ts = self.now_ns();
+        self.write(EVENT_TAG | kind.code(), &TraceContext::UNTRACED, 0, ts, 0, a, b);
+    }
+
     /// Record a completed span under a pre-allocated id. Allocation-free,
-    /// lock-free, wait-free. The flat argument list mirrors the slot
-    /// layout on purpose — no struct is built on the hot path.
+    /// lock-free, wait-free.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn record_with_id(
@@ -302,19 +486,7 @@ impl SpanRing {
         a: u64,
         b: u64,
     ) {
-        let pos = self.pos.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[pos as usize & self.mask];
-        slot.seq.store(0, Ordering::Release);
-        slot.trace_hi.store(ctx.trace_hi, Ordering::Relaxed);
-        slot.trace_lo.store(ctx.trace_lo, Ordering::Relaxed);
-        slot.span_id.store(span_id, Ordering::Relaxed);
-        slot.parent.store(ctx.parent, Ordering::Relaxed);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(end_ns.saturating_sub(start_ns), Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(pos + 1, Ordering::Release);
+        self.write(kind.code(), ctx, span_id, start_ns, end_ns.saturating_sub(start_ns), a, b);
     }
 
     /// Record a completed span, allocating its id. Returns the id.
@@ -333,38 +505,52 @@ impl SpanRing {
         id
     }
 
-    /// Spans written so far (monotonic, may exceed capacity).
-    pub fn written(&self) -> u64 {
-        self.pos.load(Ordering::Relaxed)
-    }
-
-    /// Copy out every currently-valid span. Torn slots are skipped,
-    /// never misread (seqlock double-read).
-    pub fn snapshot(&self, out: &mut Vec<Span>) {
-        for slot in self.slots.iter() {
+    /// Copy out every currently-valid record, oldest slot first (write
+    /// order for a quiescent ring). Torn slots are skipped, never
+    /// misread (seqlock double-read).
+    fn snapshot(&self, out: &mut Vec<Record>) {
+        let oldest = self.pos.load(Ordering::Relaxed) as usize;
+        for i in 0..self.slots.len() {
+            let slot = &self.slots[(oldest + i) & self.mask];
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 {
                 continue;
             }
-            let span = Span {
-                trace_hi: slot.trace_hi.load(Ordering::Relaxed),
-                trace_lo: slot.trace_lo.load(Ordering::Relaxed),
-                span_id: slot.span_id.load(Ordering::Relaxed),
-                parent: slot.parent.load(Ordering::Relaxed),
-                kind: match SpanKind::from_code(slot.kind.load(Ordering::Relaxed)) {
-                    Some(k) => k,
-                    None => continue,
-                },
-                start_ns: slot.start_ns.load(Ordering::Relaxed),
-                dur_ns: slot.dur_ns.load(Ordering::Relaxed),
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
-            };
+            let trace_hi = slot.trace_hi.load(Ordering::Relaxed);
+            let trace_lo = slot.trace_lo.load(Ordering::Relaxed);
+            let span_id = slot.span_id.load(Ordering::Relaxed);
+            let parent = slot.parent.load(Ordering::Relaxed);
+            let kind = slot.kind.load(Ordering::Relaxed);
+            let start_ns = slot.start_ns.load(Ordering::Relaxed);
+            let dur_ns = slot.dur_ns.load(Ordering::Relaxed);
+            let a = slot.a.load(Ordering::Relaxed);
+            let b = slot.b.load(Ordering::Relaxed);
             let s2 = slot.seq.load(Ordering::Acquire);
             if s1 != s2 {
                 continue; // raced a writer; drop the torn slot
             }
-            out.push(span);
+            let record = if kind & EVENT_TAG != 0 {
+                match EventKind::from_code(kind & !EVENT_TAG) {
+                    Some(kind) => Record::Event(Event { ts_ns: start_ns, kind, a, b }),
+                    None => continue,
+                }
+            } else {
+                match SpanKind::from_code(kind) {
+                    Some(kind) => Record::Span(Span {
+                        trace_hi,
+                        trace_lo,
+                        span_id,
+                        parent,
+                        kind,
+                        start_ns,
+                        dur_ns,
+                        a,
+                        b,
+                    }),
+                    None => continue,
+                }
+            };
+            out.push(record);
         }
     }
 }
@@ -421,27 +607,29 @@ fn hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Owns the shared clock epoch, the registered span rings, the trace-id
-/// generator, and the slow-op log. One per [`crate::Telemetry`].
+/// Owns the shared clock epoch, the registered rings, the trace-id
+/// generator, the slow-op log, and the last incident dump. One per
+/// [`crate::Telemetry`].
 pub struct Tracer {
     epoch: Instant,
     ring_cap: usize,
-    rings: Mutex<Vec<Arc<SpanRing>>>,
+    rings: Mutex<Vec<Arc<Ring>>>,
     next_ring: AtomicU64,
     id_seed: AtomicU64,
     /// Tail-capture threshold; 0 disables retention.
     slow_threshold_ns: AtomicU64,
     slow: Mutex<Vec<SlowOp>>,
-    /// Long-lived ring for infra spans (replica ship/apply, recovery)
-    /// whose writers don't have a worker identity. Multi-writer is
-    /// tolerated here under the flight recorder's collision argument.
-    svc: Arc<SpanRing>,
+    /// Long-lived ring for writers without a worker identity (GC, epoch
+    /// ticker, checkpointer, degraded-mode hooks, recovery and replica
+    /// apply). Multi-writer is tolerated here (see the module docs).
+    svc: Arc<Ring>,
+    last_dump: Mutex<Option<String>>,
 }
 
 impl Tracer {
     pub fn new(ring_cap: usize) -> Tracer {
         let epoch = Instant::now();
-        let svc = Arc::new(SpanRing::new(epoch, ring_cap, 1));
+        let svc = Arc::new(Ring::new(epoch, ring_cap, 1));
         Tracer {
             epoch,
             ring_cap,
@@ -451,6 +639,7 @@ impl Tracer {
             slow_threshold_ns: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             svc,
+            last_dump: Mutex::new(None),
         }
     }
 
@@ -461,23 +650,28 @@ impl Tracer {
     }
 
     /// Register a ring for a new single-writer owner.
-    pub fn ring(&self) -> Arc<SpanRing> {
+    pub fn ring(&self) -> Arc<Ring> {
         let n = self.next_ring.fetch_add(1, Ordering::Relaxed);
-        let ring = Arc::new(SpanRing::new(self.epoch, self.ring_cap, n));
+        let ring = Arc::new(Ring::new(self.epoch, self.ring_cap, n));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
         ring
     }
 
-    /// The shared service ring for infra spans.
-    pub fn svc_ring(&self) -> &Arc<SpanRing> {
+    /// The shared service ring.
+    pub fn svc_ring(&self) -> &Arc<Ring> {
         &self.svc
     }
 
-    /// Drop a retired worker's ring from dumps. Its already-recorded
-    /// spans disappear with it — acceptable for a debugging ring, and
-    /// slow-op retention already copied anything that mattered.
-    pub fn retire(&self, ring: &Arc<SpanRing>) {
+    /// Drop a retired writer's ring from dumps. Its already-recorded
+    /// records disappear with it — acceptable for a debugging ring
+    /// (counters, unlike records, are retained on retire), and slow-op
+    /// retention already copied anything that mattered.
+    pub fn retire(&self, ring: &Arc<Ring>) {
         self.rings.lock().unwrap().retain(|r| !Arc::ptr_eq(r, ring));
+    }
+
+    pub fn ring_count(&self) -> usize {
+        self.rings.lock().unwrap().len()
     }
 
     /// Mint a fresh non-zero 128-bit trace id (head sampling and traced
@@ -545,12 +739,33 @@ impl Tracer {
         slow.truncate(SLOW_OP_LOG_CAP);
     }
 
+    /// One merged snapshot of every live ring, each record tagged with
+    /// its ring's index in the registration list.
+    fn records(&self) -> Vec<(usize, Record)> {
+        let mut out = Vec::new();
+        let mut buf = Vec::new();
+        for (i, ring) in self.rings.lock().unwrap().iter().enumerate() {
+            buf.clear();
+            ring.snapshot(&mut buf);
+            out.extend(buf.iter().map(|r| (i, *r)));
+        }
+        out
+    }
+
+    /// The span records of [`Tracer::records`].
+    fn spans(&self) -> Vec<Span> {
+        self.records()
+            .into_iter()
+            .filter_map(|(_, r)| match r {
+                Record::Span(s) => Some(s),
+                Record::Event(_) => None,
+            })
+            .collect()
+    }
+
     /// Every span currently in any ring carrying the given trace id.
     pub fn capture_trace(&self, trace_hi: u64, trace_lo: u64) -> Vec<Span> {
-        let mut out = Vec::new();
-        for ring in self.rings.lock().unwrap().iter() {
-            ring.snapshot(&mut out);
-        }
+        let mut out = self.spans();
         out.retain(|s| s.trace_hi == trace_hi && s.trace_lo == trace_lo);
         out.sort_by_key(|s| (s.start_ns, s.span_id));
         out
@@ -561,13 +776,11 @@ impl Tracer {
         self.slow.lock().unwrap().clone()
     }
 
-    /// Merge every live ring plus the slow-op retention buffers into one
-    /// time-sorted bounded span list (newest kept when over `max`).
+    /// Merge every live ring's spans plus the slow-op retention buffers
+    /// into one time-sorted bounded span list (newest kept when over
+    /// `max`).
     pub fn dump_spans(&self, max: usize) -> Vec<Span> {
-        let mut out = Vec::new();
-        for ring in self.rings.lock().unwrap().iter() {
-            ring.snapshot(&mut out);
-        }
+        let mut out = self.spans();
         for op in self.slow.lock().unwrap().iter() {
             out.extend_from_slice(&op.spans);
         }
@@ -578,6 +791,77 @@ impl Tracer {
             out.drain(..cut);
         }
         out
+    }
+
+    /// Merge every live ring's events, sort by timestamp, and format the
+    /// most recent `max_events` as a bounded human-readable report (the
+    /// `DumpEvents` text).
+    pub fn dump_events(&self, max_events: usize) -> String {
+        let rings = self.ring_count();
+        let mut events: Vec<(usize, Event)> = self
+            .records()
+            .into_iter()
+            .filter_map(|(i, r)| match r {
+                Record::Event(e) => Some((i, e)),
+                Record::Span(_) => None,
+            })
+            .collect();
+        events.sort_by_key(|(_, e)| e.ts_ns);
+        let skipped = events.len().saturating_sub(max_events);
+        let shown = &events[skipped..];
+        let mut out = String::with_capacity(64 + shown.len() * 48);
+        out.push_str(&format!(
+            "flight-recorder dump: {} event(s) across {} ring(s){}\n",
+            shown.len(),
+            rings,
+            if skipped > 0 { format!(" ({skipped} older suppressed)") } else { String::new() }
+        ));
+        for (ring_idx, e) in shown {
+            let secs = e.ts_ns / 1_000_000_000;
+            let frac = e.ts_ns % 1_000_000_000;
+            out.push_str(&format!(
+                "  [+{secs:>5}.{frac:09}] r{ring_idx:<3} {:<13} {}\n",
+                e.kind.label(),
+                describe(e)
+            ));
+        }
+        out
+    }
+
+    /// Record a dump taken at a failure boundary (log stall/poison) so
+    /// it can be fetched later even after the moment has passed.
+    pub fn store_last_dump(&self, dump: String) {
+        *self.last_dump.lock().unwrap() = Some(dump);
+    }
+
+    pub fn last_dump(&self) -> Option<String> {
+        self.last_dump.lock().unwrap().clone()
+    }
+}
+
+fn describe(e: &Event) -> String {
+    match e.kind {
+        EventKind::TxnBegin => format!("tid={}", e.a),
+        EventKind::TxnCommit => format!("tid={} lsn={:#x}", e.a, e.b),
+        EventKind::TxnAbort => format!("tid={} reason={}", e.a, e.b),
+        EventKind::LogStall => format!("waited_ms={}", e.a),
+        EventKind::LogPoison => format!("cause={}", e.a),
+        EventKind::GcPass => format!("reclaimed={} pass={}", e.a, e.b),
+        EventKind::Checkpoint => format!("lsn={:#x}", e.a),
+        EventKind::EpochAdvance => format!("epoch={}", e.a),
+        EventKind::DbDegraded => format!("durable_frozen_at={:#x}", e.a),
+        EventKind::DbResumed => format!("durable_lsn={:#x}", e.a),
+        EventKind::SessionParked => format!("conn={} seq={}", e.a, e.b),
+        EventKind::SessionResumed => format!("conn={} waited_us={}", e.a, e.b),
+        EventKind::TwoPcPrepare => format!("shard={} cstamp={:#x}", e.a, e.b),
+        EventKind::TwoPcDecide => {
+            format!("gtid={:#x} {}", e.a, if e.b == 1 { "commit" } else { "abort" })
+        }
+        EventKind::TwoPcResolve => {
+            format!("gtid={:#x} {}", e.a, if e.b == 1 { "committed" } else { "presumed-abort" })
+        }
+        EventKind::ReplSegmentShipped => format!("offset={:#x} bytes={}", e.a, e.b),
+        EventKind::ReplApplied => format!("applied={:#x} blocks={}", e.a, e.b),
     }
 }
 
@@ -698,6 +982,32 @@ mod tests {
         TraceContext { trace_hi: hi, trace_lo: lo, parent }
     }
 
+    fn snapshot(ring: &Ring) -> Vec<Record> {
+        let mut out = Vec::new();
+        ring.snapshot(&mut out);
+        out
+    }
+
+    fn spans(ring: &Ring) -> Vec<Span> {
+        snapshot(ring)
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::Span(s) => Some(s),
+                Record::Event(_) => None,
+            })
+            .collect()
+    }
+
+    fn events(ring: &Ring) -> Vec<Event> {
+        snapshot(ring)
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::Event(e) => Some(e),
+                Record::Span(_) => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn record_snapshot_roundtrip() {
         let tr = Tracer::new(64);
@@ -705,8 +1015,7 @@ mod tests {
         let c = ctx(7, 9, 3);
         let t0 = ring.now_ns();
         let id = ring.record(&c, SpanKind::TxnRead, t0, t0 + 100, 4, 2);
-        let mut out = Vec::new();
-        ring.snapshot(&mut out);
+        let out = spans(&ring);
         assert_eq!(out.len(), 1);
         let s = out[0];
         assert_eq!((s.trace_hi, s.trace_lo, s.parent), (7, 9, 3));
@@ -717,17 +1026,122 @@ mod tests {
     }
 
     #[test]
+    fn events_and_spans_share_one_timebase_in_write_order() {
+        let tr = Tracer::new(64);
+        let ring = tr.ring();
+        let c = ctx(1, 2, 0);
+        ring.event(EventKind::TxnBegin, 10, 0);
+        let t0 = ring.now_ns();
+        ring.record(&c, SpanKind::TxnWrite, t0, ring.now_ns(), 3, 0);
+        ring.event(EventKind::TxnCommit, 10, 0x40);
+        let recs = snapshot(&ring);
+        let [Record::Event(begin), Record::Span(write), Record::Event(commit)] = recs[..] else {
+            panic!("want event, span, event in write order: {recs:?}");
+        };
+        assert_eq!(
+            (begin.kind, write.kind, commit.kind),
+            (EventKind::TxnBegin, SpanKind::TxnWrite, EventKind::TxnCommit)
+        );
+        // One clock: the span sits between the events around it, and
+        // every stamp reads on the tracer's own clock.
+        assert!(begin.ts_ns <= write.start_ns);
+        assert!(write.start_ns + write.dur_ns <= commit.ts_ns);
+        assert!(commit.ts_ns <= tr.now_ns());
+        assert_eq!((commit.a, commit.b), (10, 0x40));
+    }
+
+    #[test]
+    fn dumps_filter_by_record_kind_not_label() {
+        let tr = Tracer::new(64);
+        let ring = tr.ring();
+        let c = ctx(0xa, 0xb, 0);
+        // The three labels both taxonomies share, once as an event and
+        // once as a span each.
+        ring.event(EventKind::TxnBegin, 1, 0);
+        ring.record(&c, SpanKind::TxnBegin, 1, 2, 0, 0);
+        ring.event(EventKind::TwoPcPrepare, 1, 7);
+        ring.record(&c, SpanKind::TwoPcPrepare, 3, 4, 1, 7);
+        ring.event(EventKind::TwoPcDecide, 9, 1);
+        ring.record(&c, SpanKind::TwoPcDecide, 5, 6, 9, 0);
+
+        let text = tr.dump_events(64);
+        assert!(text.starts_with("flight-recorder dump: 3 event(s)"), "{text}");
+        assert_eq!(text.lines().count(), 4, "header + 3 events:\n{text}");
+        for label in ["txn-begin", "2pc-prepare", "2pc-decide"] {
+            assert_eq!(text.matches(label).count(), 1, "{label} once:\n{text}");
+        }
+        assert!(!text.contains("trace="), "no span line in an event dump:\n{text}");
+        assert!(parse_spans(&text).unwrap().is_empty());
+
+        let spans = tr.dump_spans(64);
+        assert_eq!(spans.len(), 3);
+        assert!(spans.iter().all(|s| s.trace_hi == 0xa && s.trace_lo == 0xb));
+        let text = render_spans(&spans);
+        assert_eq!(parse_spans(&text).unwrap(), spans);
+        assert!(!text.contains("flight-recorder"));
+        assert!(tr.capture_trace(0, 0).is_empty(), "events are never part of a trace");
+    }
+
+    #[test]
     fn ring_wraps_and_keeps_newest() {
         let tr = Tracer::new(8);
-        let ring = tr.ring();
         let c = ctx(1, 1, 0);
-        for i in 0..20u64 {
-            ring.record(&c, SpanKind::TxnWrite, i, i + 1, i, 0);
+        // Spans and events lap the same ring the same way.
+        let writers: [fn(&Ring, &TraceContext, u64); 2] = [
+            |r, c, i| {
+                r.record(c, SpanKind::TxnWrite, i, i + 1, i, 0);
+            },
+            |r, _, i| r.event(EventKind::TxnCommit, i, 0),
+        ];
+        for write in writers {
+            let ring = tr.ring();
+            let cap = ring.capacity() as u64;
+            for i in 0..cap * 3 {
+                write(&ring, &c, i);
+            }
+            let recs = snapshot(&ring);
+            assert_eq!(recs.len(), cap as usize, "full ring after 3 laps");
+            let payload: Vec<u64> = recs
+                .iter()
+                .map(|r| match r {
+                    Record::Span(s) => s.a,
+                    Record::Event(e) => e.a,
+                })
+                .collect();
+            let expect: Vec<u64> = (cap * 2..cap * 3).collect();
+            assert_eq!(payload, expect, "only the last lap survives, in write order");
         }
-        let mut out = Vec::new();
-        ring.snapshot(&mut out);
-        assert_eq!(out.len(), ring.capacity());
-        assert!(out.iter().all(|s| s.a >= 20 - ring.capacity() as u64));
+    }
+
+    #[test]
+    fn event_dump_is_bounded_and_readable() {
+        let tr = Tracer::new(32);
+        let ring = tr.ring();
+        for i in 0..100 {
+            ring.event(EventKind::TxnCommit, i, i * 2);
+        }
+        ring.event(EventKind::LogStall, 250, 0);
+        let dump = tr.dump_events(8);
+        assert!(dump.contains("log-stall"), "dump: {dump}");
+        assert!(dump.contains("older suppressed"), "dump: {dump}");
+        assert!(dump.lines().count() <= 9, "header + at most 8 events");
+        tr.store_last_dump(dump.clone());
+        assert_eq!(tr.last_dump().as_deref(), Some(dump.as_str()));
+    }
+
+    #[test]
+    fn retire_removes_the_ring_from_both_dumps() {
+        let tr = Tracer::new(8);
+        let ring = tr.ring();
+        ring.event(EventKind::GcPass, 7, 1);
+        ring.record(&ctx(3, 3, 0), SpanKind::TxnScan, 0, 1, 0, 0);
+        assert_eq!(tr.ring_count(), 2, "the service ring plus this one");
+        assert!(tr.dump_events(16).contains("gc-pass"));
+        assert_eq!(tr.dump_spans(16).len(), 1);
+        tr.retire(&ring);
+        assert_eq!(tr.ring_count(), 1);
+        assert!(!tr.dump_events(16).contains("gc-pass"));
+        assert!(tr.dump_spans(16).is_empty());
     }
 
     #[test]
@@ -882,6 +1296,10 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers_never_tear() {
+        // Self-checking payloads: a span's trace words match and its
+        // a/b/dur carry the writer tag; an event's b is a ^ MARK. A torn
+        // read of either would break the identity.
+        const MARK: u64 = 0xDEAD_BEEF_F11E_0000;
         let tr = Arc::new(Tracer::new(64));
         let stop = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -891,24 +1309,39 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let ring = tr.ring();
                 let c = ctx(w + 1, w + 1, 0);
-                while stop.load(Ordering::Relaxed) == 0 {
+                let mut i = 0u64;
+                while i < 1_000 || stop.load(Ordering::Relaxed) == 0 {
                     let t = ring.now_ns();
                     ring.record(&c, SpanKind::TxnWrite, t, t + w, w, w);
+                    let a = w << 32 | i;
+                    ring.event(EventKind::TxnBegin, a, a ^ MARK);
+                    i += 1;
                 }
+                ring
             }));
         }
         for _ in 0..200 {
-            for s in tr.dump_spans(10_000) {
-                // Payload consistency: trace id words always match and
-                // a/b carry the writer tag — a torn read would break it.
-                assert_eq!(s.trace_hi, s.trace_lo);
-                assert_eq!(s.a, s.b);
-                assert_eq!(s.dur_ns, s.a);
+            for (_, r) in tr.records() {
+                match r {
+                    Record::Span(s) => {
+                        assert_eq!(s.trace_hi, s.trace_lo);
+                        assert_eq!(s.a, s.b);
+                        assert_eq!(s.dur_ns, s.a);
+                    }
+                    Record::Event(e) => {
+                        assert_eq!(e.kind, EventKind::TxnBegin);
+                        assert_eq!(e.b, e.a ^ MARK, "payload words must be from the same write");
+                    }
+                }
             }
+            assert!(tr.dump_events(256).starts_with("flight-recorder dump"));
         }
         stop.store(1, Ordering::Relaxed);
         for h in handles {
-            h.join().unwrap();
+            let ring = h.join().unwrap();
+            let recs = snapshot(&ring);
+            assert_eq!(recs.len(), ring.capacity(), "ring is full");
+            assert_eq!(spans(&ring).len() + events(&ring).len(), recs.len());
         }
     }
 }
