@@ -62,7 +62,7 @@ mod worker;
 pub use config::{DbConfig, IsolationLevel};
 pub use database::{Database, DbState, DdlEntry, IndexInfo, LogRetention, NodeRole, Table};
 pub use profile::Breakdown;
-pub use recovery::{InDoubtTxn, LogApplier, RecoveryOutcome, RecoveryStats};
+pub use recovery::{resolve_in_doubt, LogApplier, RecoveryStats};
 pub use shard::{
     shard_of_key, IndexRouting, PooledShardedWorker, RoutedDdl, ShardPolicy, ShardRecoveryStats,
     ShardedCommitToken, ShardedDb, ShardedTransaction, ShardedWorker, ShardedWorkerPool,

@@ -14,6 +14,16 @@
 //! materializes versions directly. The *structure* of recovery (fuzzy
 //! snapshot + header-driven forward scan, idempotent by stamp
 //! comparison) matches the paper.
+//!
+//! Cross-shard 2PC adds one question the paper's single log never asks:
+//! does a prepare whose verdict is not in its own log commit? One
+//! resolver answers it for both readers of the log. [`LogApplier`]
+//! replays a shard's log and buffers prepares without a local verdict;
+//! [`resolve_in_doubt`] pools the decide verdicts of every shard's log
+//! and applies each buffered prepare that has one. What is still pending
+//! afterwards gets one of two policies: crash recovery
+//! ([`Database::recover`], `ShardedDb::recover`) presumes abort, while a
+//! replica keeps waiting for the coordinator's decide to ship.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -21,7 +31,7 @@ use std::sync::atomic::Ordering;
 use ermia_common::{Lsn, Oid, Stamp};
 use ermia_log::{CheckpointMeta, DecideRecord, LogRecord, LogRecordKind, LogScanner, PrepareMarker};
 use ermia_storage::Version;
-use ermia_telemetry::{SpanKind, TraceContext};
+use ermia_telemetry::{EventKind, SpanKind, TraceContext};
 
 use crate::database::Database;
 
@@ -38,7 +48,7 @@ fn apply_traced(
     if txn.trace_hi == 0 && txn.trace_lo == 0 {
         return db.replay_records(&txn.records, txn.cstamp, stats);
     }
-    let ring = db.telemetry().tracer().svc_ring().clone();
+    let ring = db.inner.svc_ring();
     let t0 = ring.now_ns();
     let r = db.replay_records(&txn.records, txn.cstamp, stats);
     let ctx = TraceContext { trace_hi: txn.trace_hi, trace_lo: txn.trace_lo, parent: 0 };
@@ -65,41 +75,26 @@ pub struct RecoveryStats {
     /// Records skipped because a newer version was already present
     /// (fuzzy-checkpoint overlap).
     pub skipped_stale: u64,
-    /// 2PC prepares whose verdict was not in this shard's own log. A
-    /// standalone [`Database::recover`] presumes abort for these; a
-    /// sharded recovery resolves them against every participant's log.
+    /// 2PC prepares whose verdict was not in this shard's own log. Each
+    /// one either took a commit verdict from another shard's log (see
+    /// [`resolve_in_doubt`]) or was presumed aborted.
     pub in_doubt: u64,
 }
 
-/// A 2PC prepare found in the log without a local verdict: validated,
-/// durable, and waiting on the coordinator's decision. Produced by
-/// [`Database::recover_outcome`]; the sharded recovery pass either
-/// applies it (a commit decide exists in the coordinator's log) or drops
-/// it (presumed abort).
-pub struct InDoubtTxn {
+/// A 2PC prepare found in the log without a verdict yet: validated,
+/// durable, and waiting on the coordinator's decision.
+struct InDoubtTxn {
     /// Shard that coordinated the global transaction.
-    pub coord_shard: u32,
-    /// Raw LSN of the coordinator's prepare block (with `coord_shard`,
-    /// the global transaction id).
-    pub gtid_lsn: u64,
+    coord_shard: u32,
     /// This participant's prepare cstamp — the commit LSN the records
     /// take if the verdict is commit.
-    pub cstamp: Lsn,
+    cstamp: Lsn,
     /// Trace id the coordinator stamped into the prepare marker
     /// ((0, 0) = untraced): applying this prepare records a `ReplApply`
     /// span under the originating transaction's trace.
-    pub trace_hi: u64,
-    pub trace_lo: u64,
+    trace_hi: u64,
+    trace_lo: u64,
     records: Vec<LogRecord>,
-}
-
-/// Everything one shard's log scan produced: replay counters, unresolved
-/// prepares, and every 2PC verdict found (keyed by global transaction
-/// id) for resolving *other* shards' in-doubt prepares.
-pub struct RecoveryOutcome {
-    pub stats: RecoveryStats,
-    pub in_doubt: Vec<InDoubtTxn>,
-    pub decides: HashMap<(u32, u64), bool>,
 }
 
 /// Incremental log replay: the one-shot recovery scan generalized so a
@@ -107,7 +102,8 @@ pub struct RecoveryOutcome {
 /// round replays every complete block past the applied frontier;
 /// prepared-but-undecided 2PC transactions and the verdicts seen so far
 /// carry over between rounds (a prepare and its decide may arrive in
-/// different shipments).
+/// different shipments, or in different shards' logs — see
+/// [`resolve_in_doubt`]).
 ///
 /// The frontier only advances to positions just past a successfully
 /// decoded block — a scan that stops at a hole (torn or not-yet-shipped
@@ -115,7 +111,10 @@ pub struct RecoveryOutcome {
 /// good block and replay stays gap-free no matter where a shipment ends.
 pub struct LogApplier {
     applied: u64,
+    /// Prepares awaiting a verdict, keyed by global transaction id
+    /// (coordinator shard, coordinator prepare LSN).
     pending: HashMap<(u32, u64), InDoubtTxn>,
+    /// Every 2PC verdict this log has shown so far, by global id.
     decides: HashMap<(u32, u64), bool>,
     stats: RecoveryStats,
 }
@@ -137,13 +136,6 @@ impl LogApplier {
     /// point for both this applier and a resubscribing shipper.
     pub fn applied_offset(&self) -> u64 {
         self.applied
-    }
-
-    /// Replay counters accumulated so far.
-    pub fn stats(&self) -> RecoveryStats {
-        let mut stats = self.stats;
-        stats.in_doubt = self.pending.len() as u64;
-        stats
     }
 
     /// Replay every complete block currently in `db`'s log past the
@@ -176,7 +168,6 @@ impl LogApplier {
                     };
                     let txn = InDoubtTxn {
                         coord_shard: marker.coord_shard,
-                        gtid_lsn,
                         cstamp,
                         trace_hi: marker.trace_hi,
                         trace_lo: marker.trace_lo,
@@ -201,39 +192,82 @@ impl LogApplier {
         Ok(rounds)
     }
 
-    /// Every 2PC verdict seen so far, keyed by global transaction id.
-    /// A multi-shard replica resolves other shards' pending prepares
-    /// against these (the coordinator's log is authoritative).
-    pub fn decides(&self) -> &HashMap<(u32, u64), bool> {
-        &self.decides
-    }
-
-    /// Keys of prepares still awaiting a verdict.
-    pub fn pending_keys(&self) -> Vec<(u32, u64)> {
-        self.pending.keys().copied().collect()
-    }
-
-    /// Resolve one pending prepare with an externally obtained verdict
-    /// (from another shard's [`LogApplier::decides`]). Applies the
-    /// transaction when the verdict is commit; drops it otherwise.
-    /// Returns false if the key was not pending.
-    pub fn resolve(&mut self, db: &Database, key: (u32, u64), commit: bool) -> std::io::Result<bool> {
-        let Some(txn) = self.pending.remove(&key) else { return Ok(false) };
+    /// Settle one pending prepare with a verdict: apply it on commit,
+    /// drop it otherwise, and note the outcome on `db`'s service ring.
+    fn resolve(&mut self, db: &Database, gtid: (u32, u64), commit: bool) -> std::io::Result<()> {
+        let Some(txn) = self.pending.remove(&gtid) else { return Ok(()) };
         if commit {
             self.stats.replayed_blocks += 1;
             apply_traced(db, &txn, &mut self.stats)?;
         }
-        Ok(true)
+        db.inner.svc_ring().event(EventKind::TwoPcResolve, gtid.1, commit as u64);
+        Ok(())
     }
+}
 
-    /// Finish a one-shot recovery: whatever is still pending becomes the
-    /// in-doubt set for the sharded resolution pass.
-    pub fn into_outcome(self) -> RecoveryOutcome {
-        let mut stats = self.stats;
-        let in_doubt: Vec<InDoubtTxn> = self.pending.into_values().collect();
-        stats.in_doubt = in_doubt.len() as u64;
-        RecoveryOutcome { stats, in_doubt, decides: self.decides }
+/// Resolve 2PC prepares pending on any shard against the decide verdicts
+/// pooled from every shard's log — the one place the engine decides
+/// whether an in-doubt prepare commits. Each `(db, applier)` pair is one
+/// shard's database and the applier replaying its log. A commit verdict
+/// wins over any other copy; it is durable only after *every*
+/// participant's prepare is, so resolution never commits a partial
+/// transaction. Prepares with no verdict anywhere stay pending: crash
+/// recovery then presumes abort, a replica waits for the decide to ship.
+/// Returns the number of prepares committed.
+pub fn resolve_in_doubt<'a>(
+    shards: impl IntoIterator<Item = (&'a Database, &'a mut LogApplier)>,
+) -> std::io::Result<u64> {
+    let mut shards: Vec<_> = shards.into_iter().collect();
+    let mut verdicts: HashMap<(u32, u64), bool> = HashMap::new();
+    for (_, applier) in &shards {
+        for (&gtid, &commit) in &applier.decides {
+            *verdicts.entry(gtid).or_insert(false) |= commit;
+        }
     }
+    let mut committed = 0u64;
+    for (db, applier) in &mut shards {
+        let decided: Vec<((u32, u64), bool)> = applier
+            .pending
+            .keys()
+            .filter_map(|gtid| verdicts.get(gtid).map(|&commit| (*gtid, commit)))
+            .collect();
+        for (gtid, commit) in decided {
+            applier.resolve(db, gtid, commit)?;
+            committed += commit as u64;
+        }
+    }
+    Ok(committed)
+}
+
+/// Crash recovery of `dbs` as the shards of one engine: per shard,
+/// install the latest checkpoint and replay the log; then
+/// [`resolve_in_doubt`]; then presume abort for whatever is still
+/// pending. Returns per-shard stats (in shard order) and the number of
+/// in-doubt prepares committed.
+pub(crate) fn recover_shards(dbs: &[Database]) -> std::io::Result<(Vec<RecoveryStats>, u64)> {
+    let mut appliers = Vec::with_capacity(dbs.len());
+    for db in dbs {
+        let mut applier = LogApplier::new(0);
+        if let Some(store) = &db.inner.checkpoints {
+            if let Some((meta, payload)) = store.latest()? {
+                (applier.stats.checkpoint_records, _) = db.install_checkpoint(&payload)?;
+                applier.applied = meta.begin.offset();
+            }
+        }
+        applier.apply_available(db)?;
+        applier.stats.in_doubt = applier.pending.len() as u64;
+        appliers.push(applier);
+    }
+    let committed = resolve_in_doubt(dbs.iter().zip(appliers.iter_mut()))?;
+    let mut stats = Vec::with_capacity(dbs.len());
+    for (db, mut applier) in dbs.iter().zip(appliers) {
+        let presumed: Vec<(u32, u64)> = applier.pending.keys().copied().collect();
+        for gtid in presumed {
+            applier.resolve(db, gtid, false)?;
+        }
+        stats.push(applier.stats);
+    }
+    Ok((stats, committed))
 }
 
 // Checkpoint payload format (little-endian):
@@ -369,39 +403,14 @@ impl Database {
     /// been re-declared — `create_table` / `create_secondary_index` are
     /// idempotent by name, so applications simply run their DDL first.
     ///
-    /// 2PC prepares whose verdict is not in this log are *presumed
-    /// aborted* (counted in [`RecoveryStats::in_doubt`]). Sharded
-    /// deployments recover through `ShardedDb::recover`, which uses
-    /// [`Database::recover_outcome`] to resolve them against the
-    /// coordinator's log instead.
+    /// This is sharded recovery with one shard: 2PC prepares whose
+    /// verdict is not in this log are *presumed aborted* (counted in
+    /// [`RecoveryStats::in_doubt`]). Sharded deployments recover through
+    /// `ShardedDb::recover`, which resolves them against every shard's
+    /// log first.
     pub fn recover(&self) -> std::io::Result<RecoveryStats> {
-        self.recover_outcome().map(|o| o.stats)
-    }
-
-    /// [`Database::recover`] plus the raw material the sharded
-    /// resolution pass needs: this shard's unresolved prepares and every
-    /// 2PC verdict its log contains.
-    pub fn recover_outcome(&self) -> std::io::Result<RecoveryOutcome> {
-        let mut checkpoint_records = 0u64;
-        let mut from = 0u64;
-        if let Some(store) = &self.inner.checkpoints {
-            if let Some((meta, payload)) = store.latest()? {
-                (checkpoint_records, _) = self.install_checkpoint(&payload)?;
-                from = meta.begin.offset();
-            }
-        }
-        let mut applier = LogApplier::new(from);
-        applier.apply_available(self)?;
-        let mut outcome = applier.into_outcome();
-        outcome.stats.checkpoint_records = checkpoint_records;
-        Ok(outcome)
-    }
-
-    /// Apply a resolved in-doubt prepare (verdict: commit) produced by
-    /// [`Database::recover_outcome`] on this same database.
-    pub fn apply_in_doubt(&self, txn: &InDoubtTxn) -> std::io::Result<()> {
-        let mut stats = RecoveryStats::default();
-        self.replay_records(&txn.records, txn.cstamp, &mut stats)
+        let (mut stats, _) = recover_shards(std::slice::from_ref(self))?;
+        Ok(stats.pop().expect("one shard"))
     }
 
     /// Replay one committed transaction's records at `cstamp`.

@@ -38,10 +38,12 @@
 //!
 //! Recovery is presumed-abort: a prepare without a reachable commit
 //! verdict (in its own log or the coordinator's) rolls forward to
-//! nothing. [`ShardedDb::recover`] scans every shard, pools the decide
-//! verdicts, and applies each in-doubt prepare iff its coordinator's
-//! decide says commit — so an acked cross-shard commit is always
-//! either fully present or (unacked) fully absent after a crash.
+//! nothing. [`ShardedDb::recover`] replays every shard, then hands the
+//! leftover prepares to [`resolve_in_doubt`](crate::resolve_in_doubt) —
+//! the resolver a replica uses too — which applies each one iff some
+//! shard's log holds a commit decide for it; the rest are dropped. An
+//! acked cross-shard commit is therefore always either fully present or
+//! (unacked) fully absent after a crash.
 //!
 //! What sharding deliberately does *not* give: a global snapshot.
 //! Each shard's reads run against that shard's own LSN timeline, so a
@@ -69,7 +71,7 @@ use ermia_telemetry::{
 
 use crate::config::{DbConfig, IsolationLevel};
 use crate::database::{Database, DbState, DdlEntry, NodeRole};
-use crate::recovery::RecoveryStats;
+use crate::recovery::{recover_shards, RecoveryStats};
 use crate::transaction::{CommitToken, PreparedTransaction, Transaction};
 use crate::worker::Worker;
 
@@ -252,19 +254,13 @@ static TWOPC_FAMILY: FamilyDef = FamilyDef {
     ],
 };
 
-/// 2PC counters plus the ring the 2PC events land in: the shard-0
-/// engine worker's ring, which this thread already writes.
-pub(crate) struct TwoPcTelemetry {
+/// Per-worker telemetry, present iff `cfg.telemetry`: the 2PC metric
+/// slab, the shard-0 engine worker's ring (2PC events and spans share it
+/// with that worker's events — one thread, one ring) and the
+/// head-sampling countdown. Wire-traced requests always have a ring to
+/// land in; `sample_n` only governs engine-initiated traces.
+pub(crate) struct WorkerTelemetry {
     slab: Arc<Slab>,
-    ring: Arc<Ring>,
-}
-
-/// Per-worker tracing state: the shard-0 engine worker's ring (spans
-/// share it with that worker's events — one thread, one ring) plus the
-/// head-sampling countdown. Created whenever telemetry is on so
-/// wire-traced requests always have a ring to land in; `sample_n` only
-/// governs engine-initiated traces.
-pub(crate) struct WorkerTrace {
     ring: Arc<Ring>,
     sample_n: u32,
     count: u32,
@@ -279,7 +275,7 @@ pub(crate) struct ShardedInner {
     /// with one relaxed load per transaction.
     routing_version: AtomicU64,
     /// Cross-shard transactions currently between first prepare and
-    /// durable decide (plus unresolved prepares during recovery).
+    /// durable decide.
     in_doubt: AtomicU64,
     /// Test hook: sleep between "all prepares durable" and writing the
     /// decide record (`ERMIA_2PC_PREPARE_DELAY_MS`, read once at open),
@@ -319,27 +315,30 @@ impl ShardedDb {
             }
             dbs.push(Database::open(c)?);
         }
-        Ok(ShardedDb::from_dbs(dbs))
+        Ok(ShardedDb::from_shards(dbs))
     }
 
-    /// Wrap an already-open database as a one-shard `ShardedDb`. Routing
-    /// is picked up from its catalog; every operation passes straight
-    /// through to the inner engine.
-    pub fn single(db: Database) -> ShardedDb {
-        ShardedDb::from_dbs(vec![db])
-    }
-
-    /// Wrap already-open per-shard handles (e.g. a replica's snapshot
-    /// views) as one `ShardedDb`. Shard catalogs must be identical, as
-    /// they are when every shard replayed the same DDL. Routing starts
-    /// on the default hash policy; a replica of a primary with explicit
+    /// Wrap already-open per-shard handles (a plain database as one
+    /// shard, or a replica's snapshot views) as one `ShardedDb`. Shard
+    /// catalogs must be identical, as they are when every shard replayed
+    /// the same DDL. Routing starts from shard 0's catalog on the
+    /// default hash policy; a replica of a primary with explicit
     /// policies must install them with
     /// [`ShardedDb::refresh_routing_with`] (the shipped schema carries
     /// them), or reads of co-located keys would route to the wrong
     /// shard.
     pub fn from_shards(dbs: Vec<Database>) -> ShardedDb {
         assert!(!dbs.is_empty(), "need at least one shard");
-        ShardedDb::from_dbs(dbs)
+        let routing = Routing::from_catalog(&dbs[0]);
+        let inner = Arc::new(ShardedInner {
+            dbs,
+            routing: RwLock::new(Arc::new(routing)),
+            routing_version: AtomicU64::new(1),
+            in_doubt: AtomicU64::new(0),
+            prepare_delay: prepare_delay_from_env(),
+        });
+        register_shard_collectors(&inner);
+        ShardedDb { inner }
     }
 
     /// Rebuild the routing snapshot from shard 0's current catalog (all
@@ -411,19 +410,6 @@ impl ShardedDb {
                 RoutedDdl { entry, route_tag: route.0, route_arg: route.1 }
             })
             .collect()
-    }
-
-    fn from_dbs(dbs: Vec<Database>) -> ShardedDb {
-        let routing = Routing::from_catalog(&dbs[0]);
-        let inner = Arc::new(ShardedInner {
-            dbs,
-            routing: RwLock::new(Arc::new(routing)),
-            routing_version: AtomicU64::new(1),
-            in_doubt: AtomicU64::new(0),
-            prepare_delay: prepare_delay_from_env(),
-        });
-        register_shard_collectors(&inner);
-        ShardedDb { inner }
     }
 
     /// Number of shards.
@@ -520,13 +506,9 @@ impl ShardedDb {
         let workers: Vec<Worker> = inner.dbs.iter().map(|d| d.register_worker()).collect();
         let db0 = &inner.dbs[0];
         // Present iff `cfg.telemetry`, exactly like the ring itself.
-        let ring0 = workers[0].scratch.telemetry.as_ref().map(|t| &t.ring);
-        let twopc = ring0.map(|ring| TwoPcTelemetry {
+        let telemetry = workers[0].scratch.telemetry.as_ref().map(|t| WorkerTelemetry {
             slab: db0.telemetry().registry().register_slab(&TWOPC_FAMILY),
-            ring: Arc::clone(ring),
-        });
-        let trace = ring0.map(|ring| WorkerTrace {
-            ring: Arc::clone(ring),
+            ring: Arc::clone(&t.ring),
             sample_n: db0.inner.cfg.trace_sample_n,
             count: 0,
         });
@@ -535,8 +517,7 @@ impl ShardedDb {
             workers,
             routing: inner.routing.read().clone(),
             routing_version: inner.routing_version.load(Relaxed),
-            twopc,
-            trace,
+            telemetry,
         }
     }
 
@@ -637,55 +618,16 @@ impl ShardedDb {
         Ok(n)
     }
 
-    /// Recover every shard and resolve cross-shard in-doubt prepares.
-    ///
-    /// Each shard's scan yields (a) its replay stats, (b) prepares with
-    /// no local verdict, and (c) every decide verdict in its log. The
-    /// verdicts are pooled, then each in-doubt prepare commits iff the
-    /// pool holds a commit decide for its gtid — which, per the commit
-    /// protocol, is durable only after *every* participant's prepare is
-    /// durable, so resolution can never commit a partial transaction.
-    /// No verdict means the coordinator never decided: presumed abort.
+    /// Recover every shard and resolve cross-shard in-doubt prepares:
+    /// per shard, install the latest checkpoint and replay the log; then
+    /// [`resolve_in_doubt`](crate::resolve_in_doubt) commits each
+    /// prepare some shard's log holds a commit decide for; the rest were
+    /// never decided and are presumed aborted.
     pub fn recover(&self) -> io::Result<ShardRecoveryStats> {
-        let inner = &self.inner;
-        let mut outcomes = Vec::with_capacity(inner.dbs.len());
-        for db in &inner.dbs {
-            outcomes.push(db.recover_outcome()?);
-        }
-        let mut verdicts = std::collections::HashMap::new();
-        for o in &outcomes {
-            for (gtid, commit) in &o.decides {
-                // A commit verdict wins over a stale best-effort copy.
-                let e = verdicts.entry(*gtid).or_insert(*commit);
-                *e = *e || *commit;
-            }
-        }
-        let total_in_doubt: u64 = outcomes.iter().map(|o| o.in_doubt.len() as u64).sum();
-        inner.in_doubt.store(total_in_doubt, Relaxed);
-        let mut stats = ShardRecoveryStats {
-            per_shard: Vec::with_capacity(outcomes.len()),
-            resolved_commits: 0,
-            resolved_aborts: 0,
-        };
-        let ring = inner.dbs[0].inner.svc_ring();
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
-            for txn in &outcome.in_doubt {
-                let commit = verdicts
-                    .get(&(txn.coord_shard, txn.gtid_lsn))
-                    .copied()
-                    .unwrap_or(false);
-                if commit {
-                    inner.dbs[shard].apply_in_doubt(txn)?;
-                    stats.resolved_commits += 1;
-                } else {
-                    stats.resolved_aborts += 1;
-                }
-                ring.event(EventKind::TwoPcResolve, txn.gtid_lsn, commit as u64);
-                inner.in_doubt.fetch_sub(1, Relaxed);
-            }
-            stats.per_shard.push(outcome.stats);
-        }
-        Ok(stats)
+        let (per_shard, resolved_commits) = recover_shards(&self.inner.dbs)?;
+        let in_doubt: u64 = per_shard.iter().map(|s| s.in_doubt).sum();
+        let resolved_aborts = in_doubt - resolved_commits;
+        Ok(ShardRecoveryStats { per_shard, resolved_commits, resolved_aborts })
     }
 }
 
@@ -696,7 +638,8 @@ pub struct ShardRecoveryStats {
     pub per_shard: Vec<RecoveryStats>,
     /// In-doubt prepares rolled forward (a commit decide was found).
     pub resolved_commits: u64,
-    /// In-doubt prepares dropped (presumed abort).
+    /// In-doubt prepares dropped (no commit verdict in any shard's log:
+    /// presumed abort).
     pub resolved_aborts: u64,
 }
 
@@ -767,8 +710,7 @@ pub struct ShardedWorker {
     workers: Vec<Worker>,
     routing: Arc<Routing>,
     routing_version: u64,
-    twopc: Option<TwoPcTelemetry>,
-    trace: Option<WorkerTrace>,
+    telemetry: Option<WorkerTelemetry>,
 }
 
 impl ShardedWorker {
@@ -796,7 +738,7 @@ impl ShardedWorker {
         }
         // Resolve the active context before splitting the borrows: wire
         // context wins; otherwise head sampling every Nth begin.
-        let active = match &mut self.trace {
+        let active = match &mut self.telemetry {
             Some(t) => match ctx {
                 Some(c) if c.is_traced() => Some((c, false)),
                 _ if t.sample_n != 0 => {
@@ -813,9 +755,9 @@ impl ShardedWorker {
             },
             None => None,
         };
-        let ShardedWorker { db, workers, routing, twopc, trace, .. } = self;
+        let ShardedWorker { db, workers, routing, telemetry, .. } = self;
         let trace = active.and_then(|(ctx, sampled)| {
-            trace.as_ref().map(|t| ActiveTrace {
+            telemetry.as_ref().map(|t| ActiveTrace {
                 ctx,
                 ring: &t.ring,
                 start_ns: t.ring.now_ns(),
@@ -830,7 +772,7 @@ impl ShardedWorker {
         ShardedTransaction {
             db: &*db,
             routing,
-            twopc: twopc.as_ref(),
+            telemetry: telemetry.as_ref(),
             isolation,
             slots,
             trace,
@@ -841,14 +783,14 @@ impl ShardedWorker {
     /// wire-traced request spans through here so they land next to the
     /// engine spans of the same worker.
     pub fn span_ring(&self) -> Option<&Arc<Ring>> {
-        self.trace.as_ref().map(|t| &t.ring)
+        self.telemetry.as_ref().map(|t| &t.ring)
     }
 }
 
 impl Drop for ShardedWorker {
     fn drop(&mut self) {
         // The ring is the shard-0 engine worker's; it retires with it.
-        if let Some(t) = self.twopc.take() {
+        if let Some(t) = self.telemetry.take() {
             let tel = self.db.inner.dbs[0].telemetry();
             tel.registry().retire_slab(&TWOPC_FAMILY, &t.slab);
         }
@@ -895,7 +837,7 @@ impl<'w> Slots<'w> {
 pub struct ShardedTransaction<'w> {
     db: &'w ShardedDb,
     routing: &'w Routing,
-    twopc: Option<&'w TwoPcTelemetry>,
+    telemetry: Option<&'w WorkerTelemetry>,
     isolation: IsolationLevel,
     slots: Slots<'w>,
     trace: Option<ActiveTrace<'w>>,
@@ -917,11 +859,11 @@ struct ActiveTrace<'w> {
 }
 
 /// What [`ShardedTransaction::into_active`] destructures into: the
-/// engine, the optional 2PC telemetry and trace, and the live
+/// engine, the optional worker telemetry and trace, and the live
 /// participants as (shard, transaction) pairs.
 type ActiveParts<'w> = (
     &'w ShardedDb,
-    Option<&'w TwoPcTelemetry>,
+    Option<&'w WorkerTelemetry>,
     Option<ActiveTrace<'w>>,
     Vec<(usize, Transaction<'w>)>,
 );
@@ -1224,34 +1166,21 @@ impl<'w> ShardedTransaction<'w> {
     }
 
     fn into_active(self) -> ActiveParts<'w> {
-        let ShardedTransaction { db, twopc, trace, slots, .. } = self;
+        let ShardedTransaction { db, telemetry, trace, slots, .. } = self;
         let mut active = Vec::new();
         for (i, slot) in slots.into_vec().into_iter().enumerate() {
             if let TxSlot::Active(t) = slot {
                 active.push((i, t));
             }
         }
-        (db, twopc, trace, active)
+        (db, telemetry, trace, active)
     }
 
     /// Commit and wait for durability (on a synchronous-commit
     /// database). Returns the commit LSN — the coordinator's cstamp for
     /// a cross-shard transaction.
     pub fn commit(self) -> TxResult<Lsn> {
-        // Fast path: one shard, one active transaction — the inner
-        // commit verbatim (plus span recording when traced), with no
-        // slot Vec materialized. Sampled commits must stay on the
-        // allocation-free path (see tests/alloc_free.rs).
-        if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
-            let ShardedTransaction { db, trace, slots, .. } = self;
-            let Slots::One(TxSlot::Active(t)) = slots else { unreachable!("matched above") };
-            if trace.is_none() {
-                return t.commit();
-            }
-            return commit_one(db, trace, 0, t, true).map(|tok| tok.lsn());
-        }
-        let (db, twopc, trace, active) = self.into_active();
-        commit_active(db, twopc, trace, active, true).map(|tok| tok.lsn())
+        self.finish(true).map(|tok| tok.lsn())
     }
 
     /// Commit without waiting for durability; the returned token names
@@ -1260,14 +1189,24 @@ impl<'w> ShardedTransaction<'w> {
     /// decide record *is* the commit), so their token is trivially
     /// durable.
     pub fn commit_deferred(self) -> TxResult<ShardedCommitToken> {
-        // Same Vec-free fast path as `commit` for the one-shard case.
+        self.finish(false)
+    }
+
+    /// Shared body of [`ShardedTransaction::commit`] (`sync`) and
+    /// [`ShardedTransaction::commit_deferred`].
+    #[inline]
+    fn finish(self, sync: bool) -> TxResult<ShardedCommitToken> {
+        // Fast path: one shard, one active transaction — the inner
+        // commit plus span recording when traced, with no slot Vec
+        // materialized. Sampled commits must stay on the allocation-free
+        // path (see tests/alloc_free.rs).
         if let ShardedTransaction { slots: Slots::One(TxSlot::Active(_)), .. } = &self {
             let ShardedTransaction { db, trace, slots, .. } = self;
             let Slots::One(TxSlot::Active(t)) = slots else { unreachable!("matched above") };
-            return commit_one(db, trace, 0, t, false);
+            return commit_one(db, trace, 0, t, sync);
         }
-        let (db, twopc, trace, active) = self.into_active();
-        commit_active(db, twopc, trace, active, false)
+        let (db, telemetry, trace, active) = self.into_active();
+        commit_active(db, telemetry, trace, active, sync)
     }
 }
 
@@ -1309,7 +1248,7 @@ impl ShardedCommitToken {
 /// [`ShardedTransaction::commit_deferred`].
 fn commit_active<'w>(
     db: &ShardedDb,
-    twopc: Option<&TwoPcTelemetry>,
+    telemetry: Option<&WorkerTelemetry>,
     trace: Option<ActiveTrace<'_>>,
     active: Vec<(usize, Transaction<'w>)>,
     sync: bool,
@@ -1353,17 +1292,20 @@ fn commit_active<'w>(
             // double-fire.
             return commit_one(db, trace, i, t, sync);
         }
-        _ => two_pc(db, twopc, trace, writers),
+        _ => two_pc(db, telemetry, trace, writers),
     };
-    // Tail-based capture for engine-sampled traces: the server owns it
-    // for wire-traced requests (it knows the opcode and key).
-    if let Some(tr) = trace {
-        if tr.sampled {
-            let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-            db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
-        }
-    }
+    capture_if_slow(db, trace);
     result
+}
+
+/// Tail-based capture for engine-sampled traces: the server owns it for
+/// wire-traced requests (it knows the opcode and key).
+#[inline]
+fn capture_if_slow(db: &ShardedDb, trace: Option<ActiveTrace<'_>>) {
+    if let Some(tr) = trace.filter(|tr| tr.sampled) {
+        let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
+        db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
+    }
 }
 
 /// Commit a single participant `t` on shard `i`: the inner commit plus
@@ -1393,14 +1335,7 @@ fn commit_one(
         }
         tok
     };
-    // Tail-based capture for engine-sampled traces: the server owns it
-    // for wire-traced requests (it knows the opcode and key).
-    if let Some(tr) = trace {
-        if tr.sampled {
-            let total = tr.ring.now_ns().saturating_sub(tr.start_ns);
-            db.telemetry().tracer().maybe_capture_slow(&tr.ctx, "txn", 0, &[], total);
-        }
-    }
+    capture_if_slow(db, trace);
     Ok(ShardedCommitToken { shard: i as u32, token })
 }
 
@@ -1419,7 +1354,7 @@ impl Drop for InDoubtGuard<'_> {
 /// publish, so the decide record is the single commit point.
 fn two_pc<'w>(
     db: &ShardedDb,
-    twopc: Option<&TwoPcTelemetry>,
+    telemetry: Option<&WorkerTelemetry>,
     trace: Option<ActiveTrace<'_>>,
     writers: Vec<(usize, Transaction<'w>)>,
 ) -> TxResult<ShardedCommitToken> {
@@ -1485,7 +1420,7 @@ fn two_pc<'w>(
             }
         }
     }
-    if let Some(t) = twopc {
+    if let Some(t) = telemetry {
         for (i, p) in &prepared {
             t.ring.event(EventKind::TwoPcPrepare, *i as u64, p.cstamp().raw());
         }
@@ -1504,7 +1439,7 @@ fn two_pc<'w>(
         }
         span(SpanKind::DurabilityWait, t0, *i as u64, 0);
     }
-    if let Some(t) = twopc {
+    if let Some(t) = telemetry {
         t.slab.hist(TWOPC_PREPARE_HIST).record(prepare_start.elapsed().as_nanos() as u64);
     }
     if !inner.prepare_delay.is_zero() {
@@ -1531,7 +1466,7 @@ fn two_pc<'w>(
         return Err(AbortReason::LogFailure);
     }
     span(SpanKind::TwoPcDecide, decide_t0, gtid_lsn, 0);
-    if let Some(t) = twopc {
+    if let Some(t) = telemetry {
         t.slab.hist(TWOPC_DECIDE_HIST).record(decide_start.elapsed().as_nanos() as u64);
         t.slab.add(TWOPC_CROSS, 1);
         t.ring.event(EventKind::TwoPcDecide, gtid_lsn, 1);
@@ -1695,6 +1630,7 @@ impl Drop for PooledShardedWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{resolve_in_doubt, LogApplier};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -2056,6 +1992,122 @@ mod tests {
             assert_eq!(a, with_decide, "cycle {cycle}: wrong verdict");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Durably prepare `ka` (coordinator) and `kb` (participant) as one
+    /// 2PC transaction whose markers carry `trace`, then "crash": no
+    /// decide, no finalize. Returns the coordinator shard and the gtid.
+    fn prepare_pair(
+        db: &ShardedDb,
+        t: TableId,
+        (ka, kb): (&[u8], &[u8]),
+        (trace_hi, trace_lo): (u64, u64),
+    ) -> (usize, u64) {
+        let sa = shard_of_key(ka, 2);
+        let sb = 1 - sa;
+        let mut wa = db.shard(sa).register_worker();
+        let mut wb = db.shard(sb).register_worker();
+        let mut ta = wa.begin(IsolationLevel::Snapshot);
+        ta.insert(t, ka, b"va").unwrap();
+        let mut tb = wb.begin(IsolationLevel::Snapshot);
+        tb.insert(t, kb, b"vb").unwrap();
+        let coord_lsn = PrepareMarker::COORD_SELF;
+        let marker = PrepareMarker { coord_shard: sa as u32, coord_lsn, trace_hi, trace_lo };
+        let pa = ta.prepare(marker).unwrap();
+        let gtid = pa.cstamp().raw();
+        let pb = tb.prepare(PrepareMarker { coord_lsn: gtid, ..marker }).unwrap();
+        db.shard(sa).log().wait_durable(pa.end_offset()).unwrap();
+        db.shard(sb).log().wait_durable(pb.end_offset()).unwrap();
+        (sa, gtid)
+    }
+
+    fn visible(db: &ShardedDb, t: TableId, ka: &[u8], kb: &[u8]) -> (bool, bool) {
+        let mut w = db.register_worker();
+        let mut tx = w.begin(IsolationLevel::Snapshot);
+        let a = tx.read(t, ka, |_| ()).unwrap().is_some();
+        let b = tx.read(t, kb, |_| ()).unwrap().is_some();
+        tx.commit().unwrap();
+        (a, b)
+    }
+
+    /// A traced prepare pair whose decide reached only the coordinator's
+    /// log: recovery applies the participant's half exactly like the
+    /// coordinator's — a `ReplApply` span under the transaction's trace
+    /// on that shard's tracer, and its records in that shard's stats.
+    #[test]
+    fn cross_shard_resolution_replays_participant_like_coordinator() {
+        let dir = tmpdir("2pc-traced-resolve");
+        let (ka, kb) = cross_pair(2);
+        let trace = (0x5eed_0001, 0x5eed_0002);
+        let (coord, gtid) = {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let t = db.create_table("kv");
+            let (coord, gtid) = prepare_pair(&db, t, (&ka, &kb), trace);
+            let rec = DecideRecord { gtid_lsn: gtid, coord_shard: coord as u32, commit: true };
+            let end = write_decide(db.shard(coord), rec).unwrap();
+            db.shard(coord).log().wait_durable(end).unwrap();
+            (coord, gtid)
+        };
+        let participant = 1 - coord;
+        let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+        let t = db.create_table("kv");
+        let stats = db.recover().unwrap();
+        assert_eq!(stats.resolved_commits, 1);
+        assert_eq!(stats.per_shard[participant].in_doubt, 1, "no verdict in its own log");
+        for shard in [coord, participant] {
+            let spans = db.shard(shard).telemetry().tracer().capture_trace(trace.0, trace.1);
+            assert!(
+                spans.iter().any(|s| s.kind == SpanKind::ReplApply && s.b == coord as u64),
+                "shard {shard}: no repl-apply span for gtid {gtid:#x}: {spans:?}"
+            );
+            assert!(
+                stats.per_shard[shard].replayed_records >= 1,
+                "shard {shard}: resolved prepare not counted: {:?}",
+                stats.per_shard[shard]
+            );
+        }
+        assert_eq!(visible(&db, t, &ka, &kb), (true, true));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The resolver's replica policy: a participant prepare applied in a
+    /// round before its coordinator's decide stays pending and
+    /// invisible, and commits in the round that applies the decide.
+    /// Crash recovery of the same logs without the decide presumes abort.
+    #[test]
+    fn undecided_prepare_waits_on_replica_and_presumes_abort_on_recovery() {
+        let dir = tmpdir("2pc-replica-wait");
+        let (ka, kb) = cross_pair(2);
+        let (coord, gtid) = {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let t = db.create_table("kv");
+            prepare_pair(&db, t, (&ka, &kb), (0, 0))
+        };
+        {
+            let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+            let t = db.create_table("kv");
+            let stats = db.recover().unwrap();
+            assert_eq!((stats.resolved_commits, stats.resolved_aborts), (0, 2));
+            assert_eq!(visible(&db, t, &ka, &kb), (false, false), "presumed abort");
+        }
+        let db = ShardedDb::open(DbConfig::durable(&dir), 2).unwrap();
+        let t = db.create_table("kv");
+        let mut appliers = [LogApplier::new(0), LogApplier::new(0)];
+        let round = |appliers: &mut [LogApplier; 2]| {
+            for (i, a) in appliers.iter_mut().enumerate() {
+                a.apply_available(db.shard(i)).unwrap();
+            }
+            resolve_in_doubt((0..2).map(|i| db.shard(i)).zip(appliers.iter_mut())).unwrap()
+        };
+        assert_eq!(round(&mut appliers), 0, "no decide has been applied yet");
+        assert_eq!(visible(&db, t, &ka, &kb), (false, false), "undecided prepare is invisible");
+        assert_eq!(round(&mut appliers), 0, "still waiting, not presumed aborted");
+        let rec = DecideRecord { gtid_lsn: gtid, coord_shard: coord as u32, commit: true };
+        let end = write_decide(db.shard(coord), rec).unwrap();
+        db.shard(coord).log().wait_durable(end).unwrap();
+        assert_eq!(round(&mut appliers), 1, "participant commits with the decide's round");
+        assert_eq!(visible(&db, t, &ka, &kb), (true, true));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

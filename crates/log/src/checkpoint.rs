@@ -40,8 +40,8 @@ impl CheckpointStore {
         CheckpointStore::with_backend(dir, Arc::new(FileBackend))
     }
 
-    /// Open the store with an injectable write backend ([`FaultInjector`]
-    /// (crate::FaultInjector) in crash tests). Only the *write* path goes
+    /// Open the store with an injectable write backend
+    /// ([`FaultInjector`](crate::FaultInjector) in crash tests). Only the *write* path goes
     /// through the backend; reads use plain `std::fs`, since a recovery
     /// read never needs fault coverage beyond what corrupt files provide.
     pub fn with_backend(

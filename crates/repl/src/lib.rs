@@ -8,11 +8,14 @@
 //!   checkpoint plus every durable log segment (and the blob side file)
 //!   into a fresh local data directory laid out exactly like a
 //!   primary's, and replays it through the engine's incremental
-//!   [`LogApplier`](ermia::LogApplier). The local directory is a
-//!   restartable backup at every point in time.
+//!   [`LogApplier`]. The local directory is a restartable backup at
+//!   every point in time.
 //! * [`Replica::poll`] runs one shipping round per shard: re-pin at the
 //!   applied offset, mirror newly durable bytes, apply them, resolve
-//!   cross-shard 2PC outcomes, and advance the serving snapshot cut.
+//!   cross-shard 2PC outcomes with the engine's crash-recovery resolver
+//!   ([`resolve_in_doubt`]), and advance the serving snapshot cut. A
+//!   prepare whose decide has not shipped yet stays pending (invisible)
+//!   rather than presumed aborted.
 //! * The serving handle ([`Replica::serving`]) is a sharded database of
 //!   read-only snapshot views: reads see a transaction-consistent,
 //!   monotonically advancing cut; writes abort with `ReadOnlyMode`
@@ -38,7 +41,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ermia::{Database, DbConfig, DdlEntry, IndexRouting, LogApplier, ShardPolicy, ShardedDb};
+use ermia::{
+    resolve_in_doubt, Database, DbConfig, DdlEntry, IndexRouting, LogApplier, ShardPolicy,
+    ShardedDb,
+};
 use ermia_common::lsn::NUM_SEGMENTS;
 use ermia_common::Lsn;
 use ermia_server::{Client, ClientError, ReplStatus, Server, ServerConfig, WireDdl};
@@ -181,8 +187,8 @@ pub struct ReplProgress {
     /// Worst-shard lag after the round, measured against the primary's
     /// durable frontier at subscribe time.
     pub lag_bytes: u64,
-    /// Cross-shard transactions resolved from other shards' decide
-    /// records this round.
+    /// Cross-shard prepares committed from other shards' decide records
+    /// this round.
     pub resolved: u64,
 }
 
@@ -552,7 +558,7 @@ impl Replica {
         let mut replica =
             Replica { shards, serving, stats, chunk_len: cfg.chunk_len, telemetry_group };
         replica.refresh_serving_routing();
-        replica.resolve_cross_shard()?;
+        resolve_in_doubt(replica.shards.iter_mut().map(|s| (&s.db, &mut s.applier)))?;
         replica.publish();
         Ok(replica)
     }
@@ -571,7 +577,10 @@ impl Replica {
             progress.applied_blocks += blocks;
             progress.lag_bytes = progress.lag_bytes.max(lag);
         }
-        progress.resolved = self.resolve_cross_shard()?;
+        // A 2PC write becomes visible only once its coordinator's
+        // decide has shipped; undecided prepares wait for a later round.
+        progress.resolved =
+            resolve_in_doubt(self.shards.iter_mut().map(|s| (&s.db, &mut s.applier)))?;
         self.publish();
         if self.shards.first().map(|s| &s.schema) != Some(&before_schema) {
             self.refresh_serving_routing();
@@ -592,31 +601,6 @@ impl Replica {
                 return Ok(p);
             }
         }
-    }
-
-    /// Apply decide records shipped on one shard to prepared-but-
-    /// undecided cross-shard transactions pending on another. A replica
-    /// only makes a 2PC write visible once the coordinator's decision
-    /// has shipped — mirroring crash recovery's in-doubt resolution.
-    fn resolve_cross_shard(&mut self) -> ReplResult<u64> {
-        let mut todo: Vec<(usize, (u32, u64), bool)> = Vec::new();
-        for (i, sh) in self.shards.iter().enumerate() {
-            for key in sh.applier.pending_keys() {
-                if let Some(&commit) =
-                    self.shards.iter().find_map(|s| s.applier.decides().get(&key))
-                {
-                    todo.push((i, key, commit));
-                }
-            }
-        }
-        let mut resolved = 0u64;
-        for (i, key, commit) in todo {
-            let sh = &mut self.shards[i];
-            if sh.applier.resolve(&sh.db, key, commit)? {
-                resolved += 1;
-            }
-        }
-        Ok(resolved)
     }
 
     fn publish(&self) {

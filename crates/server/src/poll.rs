@@ -1,7 +1,7 @@
 //! Minimal epoll-based readiness poller used by the server's event-loop
 //! shards (and by `net_bench`'s open-loop client driver).
 //!
-//! Wraps the raw bindings in [`crate::sys`] with owned-fd types so every
+//! Wraps the raw bindings in the private `sys` module with owned-fd types so every
 //! descriptor is closed on drop. Registration is level-triggered by
 //! default — the shard loop re-arms interest explicitly — with an
 //! opt-in edge-triggered mode for fds that are drained to `WouldBlock`

@@ -168,7 +168,7 @@ impl Server {
     /// accepting connections against `db`, wrapped as a one-shard engine
     /// (zero routing overhead).
     pub fn start(db: &Database, addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::start_sharded(&ShardedDb::single(db.clone()), addr, cfg)
+        Server::start_sharded(&ShardedDb::from_shards(vec![db.clone()]), addr, cfg)
     }
 
     /// Bind `addr` and start accepting connections against a sharded

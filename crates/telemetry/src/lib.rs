@@ -2,15 +2,15 @@
 //!
 //! Three pieces, all std-only and allocation-free on the write side:
 //!
-//! * [`registry`] — per-thread metric slabs (relaxed `AtomicU64`
+//! * `registry` — per-thread metric slabs (relaxed `AtomicU64`
 //!   counters + [`hist::AtomicHistogram`]s) merged on read, with a
 //!   retire-on-drop aggregate so thread churn neither leaks nor loses
 //!   counts, plus read-side collector callbacks for subsystems that
 //!   already keep their own atomics.
-//! * [`prom`] — Prometheus text-format exposition: the renderer behind
+//! * `prom` — Prometheus text-format exposition: the renderer behind
 //!   the `Metrics` wire frame and HTTP `GET /metrics`, and the parser
 //!   the golden tests / CI smoke use to validate a live scrape.
-//! * [`trace`] — one fixed-size seqlock [`Ring`] per writer holding both
+//! * `trace` — one fixed-size seqlock [`Ring`] per writer holding both
 //!   flight events (txn begin/commit/abort, log stall/poison, GC,
 //!   checkpoints, 2PC verdicts, …) and distributed-tracing spans, all on
 //!   one nanosecond timebase. The [`Tracer`] merges the rings into the
