@@ -113,8 +113,7 @@ fn bench_log_contention(c: &mut Criterion) {
                             );
                             for _ in 0..64 / n {
                                 let res = log.allocate(buf.block_len()).unwrap();
-                                let lsn = res.lsn();
-                                let block = buf.serialize(lsn);
+                                let block = buf.serialize();
                                 res.fill(block);
                             }
                         });

@@ -15,7 +15,7 @@ fn bench_log_allocation(c: &mut Criterion) {
         b.iter(|| {
             let res = log.allocate(buf.block_len()).unwrap();
             let lsn = res.lsn();
-            let block = buf.serialize(lsn);
+            let block = buf.serialize();
             res.fill(block);
             lsn
         });

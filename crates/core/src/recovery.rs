@@ -156,11 +156,11 @@ impl LogApplier {
                 ermia_log::BlockKind::Txn => {
                     rounds += 1;
                     self.stats.replayed_blocks += 1;
-                    db.replay_records(&block.records(), block.header.cstamp, &mut self.stats)?;
+                    db.replay_records(&block.records(), block.lsn, &mut self.stats)?;
                 }
                 ermia_log::BlockKind::TxnPrepare => {
                     let Some(marker) = block.prepare_marker() else { continue };
-                    let cstamp = block.header.cstamp;
+                    let cstamp = block.lsn;
                     let gtid_lsn = if marker.coord_lsn == PrepareMarker::COORD_SELF {
                         cstamp.raw()
                     } else {

@@ -23,13 +23,14 @@
 //!
 //! 1. *Prepare* — every writer shard runs its full commit protocol
 //!    (SSN exclusion test, node-set validation, log space allocation)
-//!    but serializes its block as [`BlockKind::TxnPrepare`] carrying the
-//!    coordinator's identity. The coordinator is the lowest writer
-//!    shard and prepares first; its prepare cstamp becomes the global
-//!    transaction id (gtid).
+//!    but serializes its block as
+//!    [`BlockKind::TxnPrepare`](ermia_log::BlockKind::TxnPrepare)
+//!    carrying the coordinator's identity. The coordinator is the lowest
+//!    writer shard and prepares first; the LSN of its prepare block
+//!    becomes the global transaction id (gtid).
 //! 2. *Decide* — once **all** prepares are durable, the coordinator
-//!    appends a [`BlockKind::TxnDecide`] record to its own log and
-//!    waits for it. The decide record is the commit point: durable
+//!    appends a [`BlockKind::TxnDecide`](ermia_log::BlockKind::TxnDecide)
+//!    record to its own log and waits for it. The decide record is the commit point: durable
 //!    decide ⇒ the transaction is committed on every shard.
 //! 3. *Finalize* — participants flip their TID slots to committed and
 //!    publish versions in memory; matching decide records are appended
@@ -61,10 +62,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, TableId, TxResult};
-use ermia_log::{
-    checksum32, BlockKind, DecideRecord, LogBlockHeader, PrepareMarker, BLOCK_HEADER_LEN,
-    DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
-};
+use ermia_log::{DecideRecord, PrepareMarker};
 use ermia_telemetry::{
     EventKind, FamilyDef, MetricDesc, MetricKind, Ring, Sample, Slab, SpanKind, TraceContext,
 };
@@ -675,29 +673,12 @@ fn register_shard_collectors(inner: &Arc<ShardedInner>) {
 
 // --- Decide records -----------------------------------------------------
 
-/// Total length of a TxnDecide block (header + 16-byte record, rounded
-/// up to the allocation grain).
-const DECIDE_BLOCK_LEN: usize =
-    (BLOCK_HEADER_LEN + DECIDE_RECORD_LEN).div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN;
-
 /// Append a TxnDecide block to `db`'s log. Returns the block's
 /// exclusive end offset for durability waiting.
 fn write_decide(db: &Database, rec: DecideRecord) -> io::Result<u64> {
-    let res = db.inner.log.allocate(DECIDE_BLOCK_LEN)?;
-    let lsn = res.lsn();
+    let block = rec.encode_block();
+    let res = db.inner.log.allocate(block.len())?;
     let end = res.end_offset();
-    let mut block = [0u8; DECIDE_BLOCK_LEN];
-    block[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + DECIDE_RECORD_LEN]
-        .copy_from_slice(&rec.encode());
-    let header = LogBlockHeader {
-        kind: BlockKind::TxnDecide,
-        nrec: 0,
-        len: DECIDE_BLOCK_LEN as u32,
-        checksum: checksum32(&block[BLOCK_HEADER_LEN..]),
-        cstamp: lsn,
-        prev: rec.gtid_lsn,
-    };
-    header.encode_into(&mut block);
     res.fill(&block);
     Ok(end)
 }
@@ -2107,6 +2088,104 @@ mod tests {
         db.shard(coord).log().wait_durable(end).unwrap();
         assert_eq!(round(&mut appliers), 1, "participant commits with the decide's round");
         assert_eq!(visible(&db, t, &ka, &kb), (true, true));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The commit stamp of the newest committed version of `key` on `db`.
+    fn head_stamp(db: &Database, t: TableId, key: &[u8]) -> Lsn {
+        let table = db.table(t);
+        let handle = db.inner.epoch.register();
+        let guard = handle.pin();
+        let (oid, _) = table.primary.get(&guard, key);
+        let oid = oid.unwrap_or_else(|| panic!("key {key:?} not recovered"));
+        let head = table.oids.head(Oid(oid as u32));
+        assert!(!head.is_null(), "key {key:?} has no version");
+        // SAFETY: `head` is non-null and the pinned guard keeps the
+        // version from being reclaimed while it is read.
+        let stamp = unsafe { (*head).stamp() };
+        assert!(!stamp.is_tid(), "key {key:?} recovered uncommitted");
+        stamp.as_lsn()
+    }
+
+    /// Log blocks carry no commit stamp: replay stamps each version with
+    /// the LSN of the block's position. Crash recovery and a replica-style
+    /// `LogApplier` replay must both reproduce exactly the LSN each
+    /// commit (and each 2PC prepare reservation) returned, across
+    /// segment switches and for a prepare resolved by its decide.
+    #[test]
+    fn replay_stamps_versions_with_the_reserved_lsn() {
+        let dir = tmpdir("position-stamps");
+        let cfg = || {
+            let mut cfg = DbConfig::durable(&dir);
+            cfg.log.segment_size = 4096; // several rotations per shard
+            cfg
+        };
+        let (ka, kb) = cross_pair(2);
+        let mut expect: Vec<(usize, Vec<u8>, Lsn)> = Vec::new();
+        {
+            let db = ShardedDb::open(cfg(), 2).unwrap();
+            let t = db.create_table("kv");
+            let mut workers = [db.shard(0).register_worker(), db.shard(1).register_worker()];
+            let mut commit = |i: u32, expect: &mut Vec<(usize, Vec<u8>, Lsn)>| {
+                let key = format!("key-{i:05}").into_bytes();
+                let s = shard_of_key(&key, 2);
+                let mut tx = workers[s].begin(IsolationLevel::Snapshot);
+                tx.insert(t, &key, &[i as u8; 40]).unwrap();
+                expect.push((s, key, tx.commit().unwrap()));
+            };
+            for i in 0..150 {
+                commit(i, &mut expect);
+            }
+            let sa = shard_of_key(&ka, 2);
+            let sb = 1 - sa;
+            let mut wa = db.shard(sa).register_worker();
+            let mut wb = db.shard(sb).register_worker();
+            let mut ta = wa.begin(IsolationLevel::Snapshot);
+            ta.insert(t, &ka, b"va").unwrap();
+            let mut tb = wb.begin(IsolationLevel::Snapshot);
+            tb.insert(t, &kb, b"vb").unwrap();
+            let coord_lsn = PrepareMarker::COORD_SELF;
+            let marker =
+                PrepareMarker { coord_shard: sa as u32, coord_lsn, trace_hi: 0, trace_lo: 0 };
+            let pa = ta.prepare(marker).unwrap();
+            let gtid = pa.cstamp().raw();
+            let pb = tb.prepare(PrepareMarker { coord_lsn: gtid, ..marker }).unwrap();
+            let (stamp_a, stamp_b) = (pa.cstamp(), pb.cstamp());
+            expect.push((sa, ka.clone(), stamp_a));
+            expect.push((sb, kb.clone(), stamp_b));
+            db.shard(sa).log().wait_durable(pa.end_offset()).unwrap();
+            db.shard(sb).log().wait_durable(pb.end_offset()).unwrap();
+            let rec = DecideRecord { gtid_lsn: gtid, coord_shard: sa as u32, commit: true };
+            let end = write_decide(db.shard(sa), rec).unwrap();
+            db.shard(sa).log().wait_durable(end).unwrap();
+            assert_eq!(pa.finish_commit().lsn(), stamp_a);
+            assert_eq!(pb.finish_commit().lsn(), stamp_b);
+            for i in 150..300 {
+                commit(i, &mut expect);
+            }
+            for s in 0..2 {
+                assert!(db.shard(s).log().segments().all().len() > 2, "shard {s} never rotated");
+            }
+        }
+        {
+            let db = ShardedDb::open(cfg(), 2).unwrap();
+            let t = db.create_table("kv");
+            let stats = db.recover().unwrap();
+            assert_eq!(stats.resolved_commits, 1);
+            for (s, key, lsn) in &expect {
+                assert_eq!(head_stamp(db.shard(*s), t, key), *lsn, "recovery: {key:?}");
+            }
+        }
+        let db = ShardedDb::open(cfg(), 2).unwrap();
+        let t = db.create_table("kv");
+        let mut appliers = [LogApplier::new(0), LogApplier::new(0)];
+        for (i, a) in appliers.iter_mut().enumerate() {
+            a.apply_available(db.shard(i)).unwrap();
+        }
+        resolve_in_doubt((0..2).map(|i| db.shard(i)).zip(appliers.iter_mut())).unwrap();
+        for (s, key, lsn) in &expect {
+            assert_eq!(head_stamp(db.shard(*s), t, key), *lsn, "log applier: {key:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

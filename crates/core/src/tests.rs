@@ -1123,3 +1123,46 @@ fn snapshot_cut_is_durable_and_transaction_consistent() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A log written in the previous block format (32-byte headers with the
+/// old magic) is refused with `InvalidData`. Scanning it as the current
+/// format would read its first block as a hole and recover an empty
+/// database.
+#[test]
+fn old_format_log_is_refused_not_truncated() {
+    let dir = std::env::temp_dir().join(format!("ermia-old-format-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let db = Database::open(DbConfig::durable(&dir)).unwrap();
+        let t = db.create_table("t");
+        let mut w = db.register_worker();
+        let mut first = None;
+        for i in 0..8u32 {
+            let mut tx = w.begin(SI);
+            tx.insert(t, &i.to_be_bytes(), b"x").unwrap();
+            first.get_or_insert(tx.commit().unwrap());
+        }
+        db.log().sync().unwrap();
+        // Overwrite the first commit block with a header as the previous
+        // format wrote it: magic "ERML", kind Txn, nrec, len, checksum,
+        // cstamp u64, prev u64.
+        let lsn = first.unwrap();
+        let mut old = [0u8; 32];
+        old[0..4].copy_from_slice(&0x4552_4d4c_u32.to_le_bytes());
+        old[4] = 1;
+        old[6..8].copy_from_slice(&1u16.to_le_bytes());
+        old[8..12].copy_from_slice(&64u32.to_le_bytes());
+        old[16..24].copy_from_slice(&lsn.raw().to_le_bytes());
+        let (seg, pos) = db.log().lsn_to_file(lsn).unwrap();
+        let io = seg.io.as_ref().unwrap();
+        io.write_all_at(&old, pos).unwrap();
+        io.sync_data().unwrap();
+    }
+    let restarted = Database::open(DbConfig::durable(&dir)).and_then(|db| {
+        db.create_table("t");
+        db.recover()
+    });
+    let err = restarted.expect_err("an old-format log must not recover as an empty database");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

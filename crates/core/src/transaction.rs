@@ -773,9 +773,8 @@ impl<'w> Transaction<'w> {
             WriteKind::Update => buf.add_update(table, oid, key, value),
             WriteKind::Delete => buf.add_delete(table, oid, key),
         }
-        let res = self.db.inner.log.allocate(buf.block_len()).expect("log allocation");
-        let lsn = res.lsn();
-        let block = buf.serialize(lsn);
+        let block = buf.serialize();
+        let res = self.db.inner.log.allocate(block.len()).expect("log allocation");
         res.fill(block);
     }
 
@@ -823,12 +822,16 @@ impl<'w> Transaction<'w> {
         let ctx = db.inner.tid.ctx(self.tid);
 
         // --- Pre-commit ------------------------------------------------
-        // Publish intent, then fix our global order and reserve log space
-        // with the single atomic fetch-and-add.
+        // Publish intent, build the commit block (it does not depend on
+        // its LSN), then fix our global order and reserve log space with
+        // the single atomic fetch-and-add. Serializing first keeps the
+        // window between the reservation and its fill — which holds back
+        // the flusher's contiguous watermark — down to the copy.
         ctx.enter_pending();
         let timer = Timed::start(profile);
         self.stage_log_records();
-        let reservation = match db.inner.log.allocate(self.scratch.logbuf.block_len()) {
+        let block_len = self.scratch.logbuf.serialize().len();
+        let reservation = match db.inner.log.allocate(block_len) {
             Ok(r) => r,
             Err(_) => {
                 // A poisoned log rejects all allocations until restart;
@@ -891,8 +894,7 @@ impl<'w> Transaction<'w> {
         // --- Populate the centralized log buffer -----------------------
         let timer = Timed::start(profile);
         let end_offset = reservation.end_offset();
-        let block = self.scratch.logbuf.serialize(cstamp);
-        reservation.fill(block);
+        reservation.fill(self.scratch.logbuf.serialized());
         if wait_durable && db.inner.log.wait_durable(end_offset).is_err() {
             // The commit block never became durable (poisoned log) or its
             // fate is unknown (timeout). Roll back in memory and surface
@@ -1006,7 +1008,8 @@ impl<'w> Transaction<'w> {
 
         ctx.enter_pending();
         self.stage_log_records();
-        let reservation = match db.inner.log.allocate(self.scratch.logbuf.prepare_block_len()) {
+        let block_len = self.scratch.logbuf.serialize_prepare(marker).len();
+        let reservation = match db.inner.log.allocate(block_len) {
             Ok(r) => r,
             Err(_) => {
                 let reason = if db.inner.log.is_poisoned() {
@@ -1060,8 +1063,7 @@ impl<'w> Transaction<'w> {
         }
 
         let end_offset = reservation.end_offset();
-        let block = self.scratch.logbuf.serialize_prepare(cstamp, marker);
-        reservation.fill(block);
+        reservation.fill(self.scratch.logbuf.serialized());
         Ok(PreparedTransaction { txn: self, cstamp, end_offset })
     }
 

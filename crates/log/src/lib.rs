@@ -66,8 +66,8 @@ pub use io::{FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory,
 pub use manager::{LogConfig, LogManager, LogStats, Reservation};
 pub use records::{
     checksum32, checksum64, BlockKind, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind,
-    PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_RECORD_LEN, MIN_BLOCK_LEN,
-    PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_BLOCK_LEN, DECIDE_RECORD_LEN,
+    MIN_BLOCK_LEN, PREPARE_MARKER_LEN,
 };
 pub use recovery::{LogScanner, ScannedBlock};
 pub use segment::{Segment, SegmentTable};

@@ -226,8 +226,16 @@ impl LogManager {
     /// segment files, the segment table is reconstructed from their names
     /// and allocation resumes after the existing tail.
     pub fn open(cfg: LogConfig) -> io::Result<LogManager> {
-        assert_eq!(cfg.segment_size % MIN_BLOCK_LEN as u64, 0, "segment size must be 32-aligned");
-        assert_eq!(cfg.buffer_size % MIN_BLOCK_LEN as u64, 0, "buffer size must be 32-aligned");
+        assert_eq!(
+            cfg.segment_size % MIN_BLOCK_LEN as u64,
+            0,
+            "segment size must be a multiple of {MIN_BLOCK_LEN}"
+        );
+        assert_eq!(
+            cfg.buffer_size % MIN_BLOCK_LEN as u64,
+            0,
+            "buffer size must be a multiple of {MIN_BLOCK_LEN}"
+        );
         assert!(cfg.buffer_size >= 4096, "log buffer too small");
         if let Some(dir) = &cfg.dir {
             std::fs::create_dir_all(dir)?;
@@ -330,7 +338,7 @@ impl LogManager {
                 // used; write a skip record to "close" the segment, then
                 // compete to open the next one.
                 let pad = seg.end - off;
-                self.write_skip(&seg, off, pad);
+                self.write_skip(off, pad);
                 let new_start = inner.next.load(Ordering::SeqCst).max(seg.end);
                 inner.segments.open_next(seg.index, new_start)?;
                 inner.stats.rotations.fetch_add(1, Ordering::Relaxed);
@@ -353,8 +361,8 @@ impl LogManager {
         }
     }
 
-    /// Write a skip block at `off` covering `pad` bytes of `seg`.
-    fn write_skip(&self, seg: &Segment, off: u64, pad: u64) {
+    /// Write a skip block at `off` covering `pad` bytes of one segment.
+    fn write_skip(&self, off: u64, pad: u64) {
         debug_assert!(pad >= BLOCK_HEADER_LEN as u64 && pad.is_multiple_of(MIN_BLOCK_LEN as u64));
         debug_assert!(pad <= self.inner.cfg.buffer_size, "skip pad exceeds the ring");
         let inner = &*self.inner;
@@ -373,16 +381,8 @@ impl LogManager {
             // treats the unfilled range as the first hole. Nothing to do.
             return;
         }
-        let header = LogBlockHeader {
-            kind: BlockKind::Skip,
-            nrec: 0,
-            len: pad as u32,
-            checksum: 0,
-            cstamp: seg.lsn(off),
-            prev: 0,
-        };
         let mut buf = [0u8; BLOCK_HEADER_LEN];
-        header.encode_into(&mut buf);
+        LogBlockHeader::new(BlockKind::Skip, 0, pad as u32, 0).encode_into(&mut buf);
         // Header and padding are published in a single stamping pass
         // (bytes after a skip header are never examined, so only the
         // header is copied): the filled — and hence durable — watermark
@@ -407,7 +407,7 @@ impl LogManager {
             match inner.segments.lookup(off) {
                 Some(seg) => {
                     let stop = end.min(seg.end);
-                    self.write_skip(&seg, off, stop - off);
+                    self.write_skip(off, stop - off);
                     off = stop;
                 }
                 None => {
@@ -663,16 +663,9 @@ impl LogManager {
                     // chunks (only reachable with multi-GB segments).
                     let stop = hi.min(seg.end).min(off + (1u64 << 30));
                     if let Some(io) = &seg.io {
-                        let header = LogBlockHeader {
-                            kind: BlockKind::Skip,
-                            nrec: 0,
-                            len: (stop - off) as u32,
-                            checksum: 0,
-                            cstamp: seg.lsn(off),
-                            prev: 0,
-                        };
                         let mut buf = [0u8; BLOCK_HEADER_LEN];
-                        header.encode_into(&mut buf);
+                        LogBlockHeader::new(BlockKind::Skip, 0, (stop - off) as u32, 0)
+                            .encode_into(&mut buf);
                         io.write_all_at(&buf, seg.file_pos(off))?;
                         touched.push(Arc::clone(&seg));
                     }
@@ -861,13 +854,7 @@ impl Reservation<'_> {
     }
 
     fn do_skip(&self) {
-        let seg = self
-            .mgr
-            .inner
-            .segments
-            .lookup(self.offset)
-            .expect("reservation was validated against a segment");
-        self.mgr.write_skip(&seg, self.offset, self.len as u64);
+        self.mgr.write_skip(self.offset, self.len as u64);
     }
 }
 

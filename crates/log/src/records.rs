@@ -2,24 +2,37 @@
 //!
 //! The unit of log insertion is a *block*: one block per committing
 //! transaction (aggregated from its private buffer), or a skip record.
-//! Blocks begin with a fixed [`LogBlockHeader`]; transaction blocks carry
-//! a sequence of [`LogRecord`]s. Recovery examines only block headers to
-//! roll the OID arrays forward (§3.7) but the records carry full keys and
-//! payloads so the reproduction can rebuild the entire database from the
-//! log ("the log is the database").
+//! Blocks begin with a 16-byte [`LogBlockHeader`]; transaction blocks
+//! carry a sequence of varint-framed [`LogRecord`]s. Recovery examines
+//! only block headers to roll the OID arrays forward (§3.7) but the
+//! records carry full keys and payloads so the reproduction can rebuild
+//! the entire database from the log ("the log is the database").
+//!
+//! Nothing in a block depends on where it lands: a block's commit stamp
+//! is its own LSN, which the scanner reports as [`crate::ScannedBlock`]'s
+//! `lsn`. A transaction can therefore serialize and checksum its block
+//! before it reserves log space.
 
-use ermia_common::{Lsn, Oid, TableId};
+use ermia_common::{Oid, TableId};
 
-/// Magic value identifying a block header ("ERML").
-pub const BLOCK_MAGIC: u32 = 0x4552_4d4c;
+/// Magic value identifying a block header ("ERM2").
+pub const BLOCK_MAGIC: u32 = 0x4552_4d32;
+
+/// Magic of the previous block format (32-byte headers, fixed 16-byte
+/// record headers). The scanner refuses a log that carries it instead of
+/// treating it as a hole, so an old data directory cannot silently
+/// recover as an empty database.
+pub(crate) const OLD_BLOCK_MAGIC: u32 = 0x4552_4d4c;
 
 /// Serialized size of a block header in bytes.
-pub const BLOCK_HEADER_LEN: usize = 32;
+pub const BLOCK_HEADER_LEN: usize = 16;
 
-/// Minimum allocation the LSN space will hand out; a closing skip record
-/// must always fit in the remainder of a segment, so segment sizes are
-/// multiples of this and all allocations are rounded up to it.
-pub const MIN_BLOCK_LEN: usize = BLOCK_HEADER_LEN;
+/// Minimum allocation the LSN space will hand out, and the slot size of
+/// the log buffer's availability ring; a closing skip record must always
+/// fit in the remainder of a segment, so segment sizes are multiples of
+/// this and all allocations are rounded up to it. Deliberately larger
+/// than [`BLOCK_HEADER_LEN`]: the grain sizes the ring's slot array.
+pub const MIN_BLOCK_LEN: usize = 32;
 
 /// Block kinds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,15 +77,20 @@ impl BlockKind {
 pub const PREPARE_MARKER_LEN: usize = 32;
 pub const DECIDE_RECORD_LEN: usize = 16;
 
+/// Total length of a [`BlockKind::TxnDecide`] block: header plus one
+/// [`DecideRecord`], rounded up to the allocation grain.
+pub const DECIDE_BLOCK_LEN: usize =
+    (BLOCK_HEADER_LEN + DECIDE_RECORD_LEN).div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN;
+
 /// First 32 bytes of a [`BlockKind::TxnPrepare`] payload: which shard
 /// coordinates this global transaction, where the coordinator's own
 /// prepare block lives, and the distributed-tracing id of the client
 /// operation that wrote it (zero when untraced). The global
 /// transaction id is `(coord_shard, coord_lsn)`; the *coordinator's
 /// own* prepare block stores [`PrepareMarker::COORD_SELF`] (its gtid
-/// LSN is its own `cstamp`, which is not known until the log
-/// reservation is made, and raw 0 is a real LSN — the first block of a
-/// fresh log).
+/// LSN is the block's own LSN, which the block cannot name because it is
+/// serialized before its log space is reserved, and raw 0 is a real LSN
+/// — the first block of a fresh log).
 ///
 /// Layout (little-endian): `coord_shard u32, pad u32, coord_lsn u64,
 /// trace_hi u64, trace_lo u64`.
@@ -92,7 +110,7 @@ pub struct PrepareMarker {
 
 impl PrepareMarker {
     /// `coord_lsn` sentinel marking the coordinator's own prepare block:
-    /// its gtid LSN is the block's own cstamp. Never a valid raw LSN
+    /// its gtid LSN is the block's own LSN. Never a valid raw LSN
     /// (the top bit is reserved for TID stamps).
     pub const COORD_SELF: u64 = u64::MAX;
 
@@ -140,6 +158,17 @@ impl DecideRecord {
         out
     }
 
+    /// The whole [`BlockKind::TxnDecide`] block carrying this verdict.
+    pub fn encode_block(&self) -> [u8; DECIDE_BLOCK_LEN] {
+        let mut block = [0u8; DECIDE_BLOCK_LEN];
+        let payload = &mut block[BLOCK_HEADER_LEN..];
+        payload[..DECIDE_RECORD_LEN].copy_from_slice(&self.encode());
+        let checksum = checksum32(payload);
+        LogBlockHeader::new(BlockKind::TxnDecide, 0, DECIDE_BLOCK_LEN as u32, checksum)
+            .encode_into(&mut block);
+        block
+    }
+
     pub fn decode(buf: &[u8]) -> Option<DecideRecord> {
         if buf.len() < DECIDE_RECORD_LEN {
             return None;
@@ -156,26 +185,31 @@ impl DecideRecord {
 ///
 /// Layout (little-endian):
 /// ```text
-/// 0  magic      u32
-/// 4  kind       u8
-/// 5  (pad)      u8
-/// 6  nrec       u16     number of records in a Txn block
+/// 0  magic      u32     BLOCK_MAGIC
+/// 4  kind       u8      BlockKind
+/// 5  flags      u8      reserved, 0
+/// 6  nrec       u16     number of records in a Txn/TxnPrepare block
 /// 8  len        u32     total block length including header
-/// 12 checksum   u32     checksum64 of the payload, folded to 32 bits
-/// 16 cstamp     u64     committer's commit LSN (raw), 0 for skips
-/// 24 prev       u64     reserved: backward chain for overflow blocks
+/// 12 checksum   u32     checksum32 of the payload (0 for skips)
 /// ```
+///
+/// The header carries no commit stamp: a Txn block commits at its own
+/// LSN, the position the scanner read it from.
 #[derive(Clone, Copy, Debug)]
 pub struct LogBlockHeader {
     pub kind: BlockKind,
     pub nrec: u16,
     pub len: u32,
     pub checksum: u32,
-    pub cstamp: Lsn,
-    pub prev: u64,
 }
 
 impl LogBlockHeader {
+    /// The header of a `len`-byte block of `kind` holding `nrec` records
+    /// whose payload checksums to `checksum`.
+    pub fn new(kind: BlockKind, nrec: u16, len: u32, checksum: u32) -> LogBlockHeader {
+        LogBlockHeader { kind, nrec, len, checksum }
+    }
+
     pub fn encode_into(&self, out: &mut [u8]) {
         assert!(out.len() >= BLOCK_HEADER_LEN);
         out[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
@@ -184,8 +218,6 @@ impl LogBlockHeader {
         out[6..8].copy_from_slice(&self.nrec.to_le_bytes());
         out[8..12].copy_from_slice(&self.len.to_le_bytes());
         out[12..16].copy_from_slice(&self.checksum.to_le_bytes());
-        out[16..24].copy_from_slice(&self.cstamp.raw().to_le_bytes());
-        out[24..32].copy_from_slice(&self.prev.to_le_bytes());
     }
 
     /// Decode a header; `None` if the magic doesn't match (a hole).
@@ -203,8 +235,6 @@ impl LogBlockHeader {
             nrec: u16::from_le_bytes(buf[6..8].try_into().unwrap()),
             len: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
             checksum: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-            cstamp: Lsn::from_raw(u64::from_le_bytes(buf[16..24].try_into().unwrap())),
-            prev: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
         })
     }
 }
@@ -238,11 +268,14 @@ impl LogRecordKind {
 
 /// One logical update inside a transaction block.
 ///
-/// Record layout: `kind u8, flags u8, key_len u16, table u32, oid u32,
-/// val_len u32` (16 bytes) followed by key then value bytes. Flag bit 0
-/// marks an *indirect* value: the bytes are a [`crate::BlobRef`] into
-/// the large-object store rather than the payload itself (§3.3,
-/// "large object writes can be diverted to secondary storage").
+/// Record layout: one head byte (the kind in bits 0–6, bit 7 set for an
+/// *indirect* value), then `key_len`, `table`, `oid` and `val_len` as
+/// LEB128 varints (1–5 bytes each), then the key and value bytes. With
+/// keys and values under 128 bytes and OIDs under 2^21, the header takes
+/// 5–7 bytes. An indirect value is a
+/// [`crate::BlobRef`] into the large-object store rather than the payload
+/// itself (§3.3, "large object writes can be diverted to secondary
+/// storage").
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
     pub kind: LogRecordKind,
@@ -254,9 +287,58 @@ pub struct LogRecord {
     pub indirect: bool,
 }
 
-const FLAG_INDIRECT: u8 = 0b1;
+const FLAG_INDIRECT: u8 = 0x80;
 
-pub const RECORD_HEADER_LEN: usize = 16;
+/// Longest LEB128 encoding of a `u32`.
+const MAX_VARINT_LEN: usize = 5;
+
+/// Encoded length of `v` as a LEB128 varint.
+#[inline]
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Write `v` as a varint at the start of `out`; returns its length.
+#[inline]
+fn put_varint(out: &mut [u8], mut v: u32) -> usize {
+    let mut i = 0;
+    while v >= 0x80 {
+        out[i] = v as u8 | 0x80;
+        v >>= 7;
+        i += 1;
+    }
+    out[i] = v as u8;
+    i + 1
+}
+
+/// Read a varint at `buf[*pos..]` and advance `pos` past it. `None` if
+/// the input ends first, runs past [`MAX_VARINT_LEN`] bytes, or
+/// overflows a `u32`.
+fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u32> {
+    let mut v = 0u64;
+    for i in 0..MAX_VARINT_LEN {
+        let b = *buf.get(*pos + i)?;
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            *pos += i + 1;
+            return u32::try_from(v).ok();
+        }
+    }
+    None
+}
+
+/// Serialized length of a record with these fields and a `key_len`-byte
+/// key and `val_len`-byte value — exactly what [`encode_record_into`]
+/// writes.
+#[inline]
+pub(crate) fn encoded_record_len(table: TableId, oid: Oid, key_len: usize, val_len: usize) -> usize {
+    1 + varint_len(key_len as u32)
+        + varint_len(table.0)
+        + varint_len(oid.0)
+        + varint_len(val_len as u32)
+        + key_len
+        + val_len
+}
 
 /// Encode one record from its parts — the single definition of the wire
 /// format, shared by [`LogRecord::encode_into`] and the allocation-free
@@ -270,12 +352,13 @@ pub fn encode_record_into(
     key: &[u8],
     value: &[u8],
 ) {
-    out.push(kind as u8);
-    out.push(if indirect { FLAG_INDIRECT } else { 0 });
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&table.0.to_le_bytes());
-    out.extend_from_slice(&oid.0.to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    let mut head = [0u8; 1 + 4 * MAX_VARINT_LEN];
+    head[0] = kind as u8 | if indirect { FLAG_INDIRECT } else { 0 };
+    let mut n = 1;
+    for field in [key.len() as u32, table.0, oid.0, value.len() as u32] {
+        n += put_varint(&mut head[n..], field);
+    }
+    out.extend_from_slice(&head[..n]);
     out.extend_from_slice(key);
     out.extend_from_slice(value);
 }
@@ -283,7 +366,7 @@ pub fn encode_record_into(
 impl LogRecord {
     /// Serialized length of this record.
     pub fn encoded_len(&self) -> usize {
-        RECORD_HEADER_LEN + self.key.len() + self.value.len()
+        encoded_record_len(self.table, self.oid, self.key.len(), self.value.len())
     }
 
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -291,25 +374,24 @@ impl LogRecord {
     }
 
     /// Decode one record at `buf[pos..]`, returning it and the position of
-    /// the next record. `None` on malformed input.
+    /// the next record. `None` on malformed or truncated input.
     pub fn decode(buf: &[u8], pos: usize) -> Option<(LogRecord, usize)> {
-        if buf.len() < pos + RECORD_HEADER_LEN {
+        let head = *buf.get(pos)?;
+        let kind = LogRecordKind::from_u8(head & !FLAG_INDIRECT)?;
+        let indirect = head & FLAG_INDIRECT != 0;
+        let mut p = pos + 1;
+        let key_len = get_varint(buf, &mut p)? as usize;
+        let table = TableId(get_varint(buf, &mut p)?);
+        let oid = Oid(get_varint(buf, &mut p)?);
+        let val_len = get_varint(buf, &mut p)? as usize;
+        let key_end = p + key_len;
+        let end = key_end + val_len;
+        if buf.len() < end {
             return None;
         }
-        let b = &buf[pos..];
-        let kind = LogRecordKind::from_u8(b[0])?;
-        let indirect = b[1] & FLAG_INDIRECT != 0;
-        let key_len = u16::from_le_bytes(b[2..4].try_into().unwrap()) as usize;
-        let table = TableId(u32::from_le_bytes(b[4..8].try_into().unwrap()));
-        let oid = Oid(u32::from_le_bytes(b[8..12].try_into().unwrap()));
-        let val_len = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
-        let body = pos + RECORD_HEADER_LEN;
-        if buf.len() < body + key_len + val_len {
-            return None;
-        }
-        let key = buf[body..body + key_len].to_vec();
-        let value = buf[body + key_len..body + key_len + val_len].to_vec();
-        Some((LogRecord { kind, table, oid, key, value, indirect }, body + key_len + val_len))
+        let key = buf[p..key_end].to_vec();
+        let value = buf[key_end..end].to_vec();
+        Some((LogRecord { kind, table, oid, key, value, indirect }, end))
     }
 }
 
@@ -335,14 +417,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = LogBlockHeader {
-            kind: BlockKind::Txn,
-            nrec: 3,
-            len: 128,
-            checksum: 0xabcd,
-            cstamp: Lsn::from_parts(77, 4),
-            prev: 0,
-        };
+        let h = LogBlockHeader { kind: BlockKind::Txn, nrec: 3, len: 128, checksum: 0xabcd };
         let mut buf = [0u8; BLOCK_HEADER_LEN];
         h.encode_into(&mut buf);
         let d = LogBlockHeader::decode(&buf).unwrap();
@@ -350,7 +425,6 @@ mod tests {
         assert_eq!(d.nrec, 3);
         assert_eq!(d.len, 128);
         assert_eq!(d.checksum, 0xabcd);
-        assert_eq!(d.cstamp, Lsn::from_parts(77, 4));
     }
 
     #[test]

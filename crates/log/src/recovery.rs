@@ -4,7 +4,9 @@
 //! work: the scanner walks block headers from a start LSN, hops over
 //! skip records and dead zones using the segment table, verifies
 //! checksums, and truncates at the first hole — no undo, no redo of
-//! uncommitted state.
+//! uncommitted state. A block header with the previous format's magic is
+//! not a hole but a log this build cannot read: the scan fails with
+//! [`io::ErrorKind::InvalidData`] instead of recovering it as empty.
 
 use std::io;
 use std::sync::Arc;
@@ -12,13 +14,16 @@ use std::sync::Arc;
 use ermia_common::Lsn;
 
 use crate::records::{
-    BlockKind, LogBlockHeader, LogRecord, PrepareMarker, BLOCK_HEADER_LEN, PREPARE_MARKER_LEN,
+    BlockKind, LogBlockHeader, LogRecord, PrepareMarker, BLOCK_HEADER_LEN, OLD_BLOCK_MAGIC,
+    PREPARE_MARKER_LEN,
 };
 use crate::segment::{Segment, SegmentTable};
 
 /// One block yielded by the scanner (skip blocks are filtered out).
 #[derive(Debug)]
 pub struct ScannedBlock {
+    /// The block's position in the LSN space — for a Txn or TxnPrepare
+    /// block, the commit (or prepare) stamp its writer reserved.
     pub lsn: Lsn,
     pub header: LogBlockHeader,
     /// Block payload (everything after the header).
@@ -111,6 +116,15 @@ impl LogScanner {
             let mut head = [0u8; BLOCK_HEADER_LEN];
             file.read_exact_at(&mut head, seg.file_pos(self.offset))?;
             let Some(header) = LogBlockHeader::decode(&head) else {
+                if head[..4] == OLD_BLOCK_MAGIC.to_le_bytes() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "log block at offset {:#x} uses the previous log format",
+                            self.offset
+                        ),
+                    ));
+                }
                 return Ok(None); // first hole: the log is truncated here
             };
             let len = header.len as u64;

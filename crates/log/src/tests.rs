@@ -35,7 +35,7 @@ fn commit_block(log: &LogManager, table: u32, oid: u32, val: &[u8]) -> ermia_com
     tx.add_update(TableId(table), Oid(oid), b"key", val);
     let res = log.allocate(tx.block_len()).unwrap();
     let lsn = res.lsn();
-    let block = tx.serialize(lsn);
+    let block = tx.serialize();
     res.fill(block);
     lsn
 }
@@ -153,7 +153,7 @@ fn wait_durable_blocks_until_flushed() {
     tx.add_insert(TableId(1), Oid(1), b"k", b"v");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     log.wait_durable(end).unwrap();
     assert!(log.durable_offset() >= end);
@@ -261,7 +261,7 @@ fn rotation_with_full_ring_converges() {
                     tx.add_update(TableId(t), Oid(i), b"key", b"rotation-payload");
                     let res = log.allocate(tx.block_len()).unwrap();
                     let end = res.end_offset();
-                    let block = tx.serialize(res.lsn());
+                    let block = tx.serialize();
                     res.fill(block);
                     // Park on durability now and then so demand-driven
                     // wakes interleave with the full-ring churn.
@@ -290,7 +290,7 @@ fn per_operation_allocation_is_slower_shape() {
         tx.add_update(TableId(1), Oid(i), b"k", b"v");
     }
     let res = log.allocate(tx.block_len()).unwrap();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     // per-operation: 10 allocations
     for i in 0..10u32 {
@@ -307,7 +307,7 @@ fn block_len_rounding_matches_reservation() {
     tx.add_insert(TableId(1), Oid(1), b"odd-key", b"odd-value-bytes");
     let res = log.allocate(tx.block_len()).unwrap();
     assert_eq!(res.len() % MIN_BLOCK_LEN, 0);
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     assert_eq!(block.len(), res.len());
     res.fill(block);
 }
@@ -321,7 +321,7 @@ fn wait_durable_times_out_when_flusher_is_dead() {
     tx.add_insert(TableId(1), Oid(1), b"key", b"value");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     let start = std::time::Instant::now();
     let err = log
@@ -344,7 +344,7 @@ fn wait_durable_timeout_config_is_honored() {
     tx.add_insert(TableId(1), Oid(2), b"key", b"value");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     // The default-entry wait_durable picks up the configured cap.
     assert_eq!(log.wait_durable(end), Err(ermia_common::LogError::Timeout));
@@ -366,7 +366,7 @@ fn sync_commit_latency_is_demand_driven_not_interval_driven() {
         tx.add_update(TableId(1), Oid(i), b"key", b"value");
         let res = log.allocate(tx.block_len()).unwrap();
         let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
+        let block = tx.serialize();
         let start = std::time::Instant::now();
         res.fill(block);
         log.wait_durable(end).unwrap();
@@ -391,7 +391,7 @@ fn idle_batching_preserved_when_nobody_waits() {
     tx.add_update(TableId(1), Oid(1), b"key", b"value");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     // Immediately after the fill the watermark should (almost certainly)
     // still be behind: nobody demanded durability, so the flusher is

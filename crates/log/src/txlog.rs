@@ -2,8 +2,9 @@
 //!
 //! Each transaction accumulates the descriptors of its inserts, updates
 //! and deletes privately to avoid log-buffer contention, then serializes
-//! them as one block into the space reserved by its single commit-time
-//! `fetch_add`.
+//! them as one block, which it then copies into the space reserved by its
+//! single commit-time `fetch_add`. The block does not depend on the LSN
+//! it lands at, so it is built and checksummed before the reservation.
 //!
 //! The buffer is **allocation-free in the steady state**: record metadata
 //! lives in a reused `Vec<RecordMeta>` and key/value bytes are bump-
@@ -12,11 +13,11 @@
 //! the high-water capacity is reached (the previous design allocated two
 //! `Vec<u8>`s per logged record).
 
-use ermia_common::{Lsn, Oid, TableId};
+use ermia_common::{Oid, TableId};
 
 use crate::records::{
-    checksum32, encode_record_into, BlockKind, LogBlockHeader, LogRecordKind, PrepareMarker,
-    BLOCK_HEADER_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN, RECORD_HEADER_LEN,
+    checksum32, encode_record_into, encoded_record_len, BlockKind, LogBlockHeader, LogRecordKind,
+    PrepareMarker, BLOCK_HEADER_LEN, MIN_BLOCK_LEN, PREPARE_MARKER_LEN,
 };
 
 /// Metadata for one buffered record; its key/value bytes live in the
@@ -113,7 +114,7 @@ impl TxLogBuffer {
             key_len: key.len() as u32,
             val_len: value.len() as u32,
         });
-        self.payload_bytes += RECORD_HEADER_LEN + key.len() + value.len();
+        self.payload_bytes += encoded_record_len(table, oid, key.len(), value.len());
     }
 
     /// Number of buffered records.
@@ -156,26 +157,28 @@ impl TxLogBuffer {
         raw.div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN
     }
 
-    /// Serialize the block with commit stamp `cstamp` into an internal
-    /// scratch buffer and return it. Length equals [`TxLogBuffer::block_len`].
-    pub fn serialize(&mut self, cstamp: Lsn) -> &[u8] {
-        self.serialize_inner(BlockKind::Txn, cstamp, None)
+    /// Serialize the block into an internal scratch buffer and return it.
+    /// Length equals [`TxLogBuffer::block_len`]. The block commits at the
+    /// LSN it is written to; it does not name that LSN itself.
+    pub fn serialize(&mut self) -> &[u8] {
+        self.serialize_inner(BlockKind::Txn, None)
     }
 
     /// Serialize the same records as a [`BlockKind::TxnPrepare`] block:
     /// the payload leads with `marker` so recovery can find the
     /// coordinator's verdict. Length equals
     /// [`TxLogBuffer::prepare_block_len`].
-    pub fn serialize_prepare(&mut self, cstamp: Lsn, marker: PrepareMarker) -> &[u8] {
-        self.serialize_inner(BlockKind::TxnPrepare, cstamp, Some(marker))
+    pub fn serialize_prepare(&mut self, marker: PrepareMarker) -> &[u8] {
+        self.serialize_inner(BlockKind::TxnPrepare, Some(marker))
     }
 
-    fn serialize_inner(
-        &mut self,
-        kind: BlockKind,
-        cstamp: Lsn,
-        marker: Option<PrepareMarker>,
-    ) -> &[u8] {
+    /// The block the last [`TxLogBuffer::serialize`] or
+    /// [`TxLogBuffer::serialize_prepare`] built.
+    pub fn serialized(&self) -> &[u8] {
+        &self.scratch
+    }
+
+    fn serialize_inner(&mut self, kind: BlockKind, marker: Option<PrepareMarker>) -> &[u8] {
         let total =
             if marker.is_some() { self.prepare_block_len() } else { self.block_len() };
         self.scratch.clear();
@@ -198,19 +201,15 @@ impl TxLogBuffer {
                 &self.arena[vs..vs + m.val_len as usize],
             );
         }
+        debug_assert_eq!(
+            self.scratch.len().div_ceil(MIN_BLOCK_LEN) * MIN_BLOCK_LEN,
+            total,
+            "block_len must follow the encoded record lengths"
+        );
         self.scratch.resize(total, 0); // zero pad to block granularity
         let checksum = checksum32(&self.scratch[BLOCK_HEADER_LEN..]);
-        let header = LogBlockHeader {
-            kind,
-            nrec: self.metas.len() as u16,
-            len: total as u32,
-            checksum,
-            cstamp,
-            prev: 0,
-        };
-        let mut head = [0u8; BLOCK_HEADER_LEN];
-        header.encode_into(&mut head);
-        self.scratch[..BLOCK_HEADER_LEN].copy_from_slice(&head);
+        LogBlockHeader::new(kind, self.metas.len() as u16, total as u32, checksum)
+            .encode_into(&mut self.scratch);
         &self.scratch
     }
 
@@ -230,10 +229,10 @@ mod tests {
     #[test]
     fn block_len_is_padded() {
         let mut b = TxLogBuffer::new();
-        assert_eq!(b.block_len(), BLOCK_HEADER_LEN);
+        assert_eq!(b.block_len(), MIN_BLOCK_LEN);
         b.add_insert(TableId(1), Oid(1), b"k", b"v");
         assert_eq!(b.block_len() % MIN_BLOCK_LEN, 0);
-        assert!(b.block_len() >= BLOCK_HEADER_LEN + 18);
+        assert!(b.block_len() >= BLOCK_HEADER_LEN + 7);
     }
 
     #[test]
@@ -242,14 +241,12 @@ mod tests {
         b.add_insert(TableId(1), Oid(10), b"alpha", b"AAAA");
         b.add_update(TableId(2), Oid(20), b"beta", b"BBBBBB");
         b.add_delete(TableId(1), Oid(10), b"alpha");
-        let cstamp = Lsn::from_parts(0x99, 2);
-        let bytes = b.serialize(cstamp).to_vec();
+        let bytes = b.serialize().to_vec();
 
         let header = LogBlockHeader::decode(&bytes).unwrap();
         assert_eq!(header.kind, BlockKind::Txn);
         assert_eq!(header.nrec, 3);
         assert_eq!(header.len as usize, bytes.len());
-        assert_eq!(header.cstamp, cstamp);
         assert_eq!(header.checksum, checksum32(&bytes[BLOCK_HEADER_LEN..]));
 
         let mut pos = BLOCK_HEADER_LEN;
@@ -270,10 +267,9 @@ mod tests {
     fn serialize_prepare_leads_with_marker() {
         let mut b = TxLogBuffer::new();
         b.add_insert(TableId(4), Oid(40), b"gamma", b"CCCC");
-        let cstamp = Lsn::from_parts(0x77, 1);
         let marker =
             PrepareMarker { coord_shard: 3, coord_lsn: 0xDEAD_BEEF, trace_hi: 0, trace_lo: 0 };
-        let bytes = b.serialize_prepare(cstamp, marker).to_vec();
+        let bytes = b.serialize_prepare(marker).to_vec();
         assert_eq!(bytes.len(), b.prepare_block_len());
         assert!(b.prepare_block_len() >= b.block_len());
 
@@ -281,7 +277,6 @@ mod tests {
         assert_eq!(header.kind, BlockKind::TxnPrepare);
         assert_eq!(header.nrec, 1);
         assert_eq!(header.len as usize, bytes.len());
-        assert_eq!(header.cstamp, cstamp);
         assert_eq!(header.checksum, checksum32(&bytes[BLOCK_HEADER_LEN..]));
 
         let got = PrepareMarker::decode(&bytes[BLOCK_HEADER_LEN..]).unwrap();
@@ -313,7 +308,7 @@ mod tests {
         b.add_insert(TableId(1), Oid(1), b"k", b"v");
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.block_len(), BLOCK_HEADER_LEN);
+        assert_eq!(b.block_len(), MIN_BLOCK_LEN);
     }
 
     #[test]
@@ -324,7 +319,7 @@ mod tests {
             for i in 0..8u32 {
                 b.add_update(TableId(1), Oid(i), &i.to_le_bytes(), &round.to_le_bytes());
             }
-            let _ = b.serialize(Lsn::from_parts(round as u64 + 1, 0));
+            let _ = b.serialize();
             if round == 0 {
                 // Capture high-water capacities after the first round.
                 let caps = (b.metas.capacity(), b.arena.capacity(), b.scratch.capacity());
@@ -332,7 +327,7 @@ mod tests {
                 for i in 0..8u32 {
                     b.add_update(TableId(1), Oid(i), &i.to_le_bytes(), &round.to_le_bytes());
                 }
-                let _ = b.serialize(Lsn::from_parts(2, 0));
+                let _ = b.serialize();
                 assert_eq!(
                     caps,
                     (b.metas.capacity(), b.arena.capacity(), b.scratch.capacity()),
@@ -340,5 +335,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The block sizes the compact format promises for the benchmark's
+    /// commit shapes (OIDs in the 3-byte varint range, as in a table of
+    /// 1M rows): a pair commit of two 8-byte keys and values fits one
+    /// 64-byte block (16 + 2·(7 + 16) = 62), a wide commit of four 11-byte
+    /// keys with 100-byte values fits 512 (16 + 4·(7 + 111) = 488), and a
+    /// 2PC decide fits the 32-byte grain.
+    #[test]
+    fn block_sizes_of_benchmark_commits_are_pinned() {
+        let mut b = TxLogBuffer::new();
+        for (i, key) in [b"pair-k-a", b"pair-k-b"].into_iter().enumerate() {
+            b.add_update(TableId(1), Oid(500_000 + i as u32), key, &[7u8; 8]);
+        }
+        assert_eq!(BLOCK_HEADER_LEN + b.payload_bytes, 62);
+        assert_eq!(b.block_len(), 64);
+        assert_eq!(b.serialize().len(), 64);
+
+        b.clear();
+        for i in 0..4u32 {
+            b.add_update(TableId(1), Oid(900_000 + i), b"row-0000000", &[9u8; 100]);
+        }
+        assert_eq!(BLOCK_HEADER_LEN + b.payload_bytes, 488);
+        assert_eq!(b.block_len(), 512);
+        assert_eq!(b.serialize().len(), 512);
+
+        assert_eq!(crate::records::DECIDE_BLOCK_LEN, 32);
+        let decide =
+            crate::DecideRecord { gtid_lsn: 1 << 40, coord_shard: 1, commit: true }.encode_block();
+        let header = LogBlockHeader::decode(&decide).unwrap();
+        assert_eq!((header.kind, header.len), (BlockKind::TxnDecide, 32));
+        assert_eq!(header.checksum, checksum32(&decide[BLOCK_HEADER_LEN..]));
     }
 }

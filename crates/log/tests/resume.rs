@@ -52,7 +52,7 @@ fn commit_one(log: &LogManager, id: u64) -> std::io::Result<(u64, Result<(), Log
     tx.add_update(TableId(1), Oid(id as u32), &id.to_be_bytes(), value.as_bytes());
     let res = log.allocate(tx.block_len())?;
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     Ok((end, log.wait_durable(end)))
 }
@@ -88,8 +88,10 @@ fn recover(dir: PathBuf) -> HashMap<u64, Vec<u8>> {
 #[test]
 fn resume_after_enospc_restores_service_and_history() {
     let dir = tmpdir("enospc");
+    // The budget is exactly full after whole blocks: the 32 B opening
+    // skip plus 32 commits of 64 B each.
     let injector = FaultInjector::new(FaultPlan {
-        enospc_after_bytes: Some(2048),
+        enospc_after_bytes: Some(2080),
         ..FaultPlan::default()
     });
     let log = LogManager::open(cfg_with(dir.clone(), &injector)).unwrap();
@@ -177,7 +179,7 @@ fn timed_out_waiter_reports_concurrent_poison() {
     tx.add_update(TableId(1), Oid(9), b"k", b"v");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
 
     let waiter = {

@@ -45,7 +45,7 @@ fn write_blocks(dir: &Path, n: u64) -> Vec<u64> {
         let res = log.allocate(tx.block_len()).unwrap();
         offsets.push(res.lsn().offset());
         let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
+        let block = tx.serialize();
         res.fill(block);
         log.wait_durable(end).unwrap();
     }
@@ -148,7 +148,7 @@ fn skip_block_filling_segment_tail_is_hopped() {
             tx.add_update(TableId(1), Oid(i as u32), &i.to_be_bytes(), b"rotation-payload");
             let res = log.allocate(tx.block_len()).unwrap();
             last_end = res.end_offset();
-            let block = tx.serialize(res.lsn());
+            let block = tx.serialize();
             res.fill(block);
         }
         log.wait_durable(last_end).unwrap();
@@ -179,7 +179,7 @@ fn torn_header_at_segment_boundary_truncates() {
             let res = log.allocate(tx.block_len()).unwrap();
             offsets.push(res.lsn().offset());
             last_end = res.end_offset();
-            let block = tx.serialize(res.lsn());
+            let block = tx.serialize();
             res.fill(block);
         }
         log.wait_durable(last_end).unwrap();

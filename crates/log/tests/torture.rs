@@ -112,7 +112,7 @@ fn run_workload(
             Err(_) => break,
         };
         let end = res.end_offset();
-        let block = tx.serialize(res.lsn());
+        let block = tx.serialize();
         res.fill(block);
         outcome.attempted.push(id);
         match log.wait_durable(end) {
@@ -337,7 +337,7 @@ fn concurrent_commits_survive_crash_point() {
                         Err(_) => return,
                     };
                     let end = res.end_offset();
-                    let block = tx.serialize(res.lsn());
+                    let block = tx.serialize();
                     res.fill(block);
                     if log.wait_durable(end).is_ok() {
                         acked.lock().unwrap().push(id);
@@ -372,7 +372,7 @@ fn poison_wakes_waiters_and_blocks_allocation() {
     tx.add_update(TableId(1), Oid(1), b"k8bytes!", b"v");
     let res = log.allocate(tx.block_len()).unwrap();
     let end = res.end_offset();
-    let block = tx.serialize(res.lsn());
+    let block = tx.serialize();
     res.fill(block);
     let err = log.wait_durable(end).expect_err("first fsync fails -> poisoned");
     assert!(matches!(err, ermia_common::LogError::Poisoned { .. }), "got {err:?}");
