@@ -397,12 +397,18 @@ impl Database {
             });
         }
         if inner.cfg.telemetry {
-            // Record epoch transitions in the service ring. The hook runs
-            // after the advance, outside the epoch manager's locks; the
-            // Weak keeps the manager (owned by DbInner) from keeping its
-            // owner alive.
+            // Record one epoch transition in 1024 (about one a second) in
+            // the service ring: the ticker advances every millisecond, and
+            // an event per tick would push every other event out of the
+            // ring — and out of an incident dump — within a fraction of a
+            // second. The hook runs after the advance, outside the epoch
+            // manager's locks; the Weak keeps the manager (owned by
+            // DbInner) from keeping its owner alive.
             let weak = Arc::downgrade(&inner);
             inner.epoch.set_advance_hook(move |epoch| {
+                if epoch % 1024 != 0 {
+                    return;
+                }
                 if let Some(db) = weak.upgrade() {
                     db.svc_ring().event(EventKind::EpochAdvance, epoch, 0);
                 }

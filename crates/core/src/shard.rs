@@ -57,12 +57,13 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Weak};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use ermia_common::{AbortReason, IndexId, Lsn, Oid, OpResult, TableId, TxResult};
-use ermia_log::{DecideRecord, PrepareMarker};
+use ermia_log::{DecideRecord, Durability, PrepareMarker, WakeKey};
 use ermia_telemetry::{
     EventKind, FamilyDef, MetricDesc, MetricKind, Ring, Sample, Slab, SpanKind, TraceContext,
 };
@@ -1222,6 +1223,26 @@ impl ShardedCommitToken {
         timeout: Duration,
     ) -> Result<(), ermia_common::LogError> {
         self.token.wait_durable(&db.inner.dbs[self.shard as usize], timeout)
+    }
+
+    /// Probe durability without blocking (see
+    /// [`ermia_log::LogManager::probe_durable`]).
+    pub fn probe_durable(&self, db: &ShardedDb) -> Durability {
+        let log = db.inner.dbs[self.shard as usize].log();
+        self.end_offset().map_or(Durability::Durable, |end| log.probe_durable(end))
+    }
+
+    /// Have `waker` fire once the commit is durable or the backing log
+    /// poisons (see [`ermia_log::LogManager::register_wake`]); `None`
+    /// when the commit is trivially durable.
+    pub fn register_wake(&self, db: &ShardedDb, waker: &Waker) -> Option<WakeKey> {
+        let log = db.inner.dbs[self.shard as usize].log();
+        self.end_offset().map(|end| log.register_wake(end, waker))
+    }
+
+    /// Withdraw a [`Self::register_wake`] registration.
+    pub fn deregister_wake(&self, db: &ShardedDb, key: WakeKey) {
+        db.inner.dbs[self.shard as usize].log().deregister_wake(key);
     }
 }
 

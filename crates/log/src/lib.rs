@@ -63,7 +63,7 @@ mod txlog;
 pub use blob::{BlobRef, BlobStore};
 pub use checkpoint::{CheckpointMeta, CheckpointStore};
 pub use io::{FaultInjector, FaultPlan, FileBackend, SegmentIo, SegmentIoFactory, TornWrite};
-pub use manager::{LogConfig, LogManager, LogStats, Reservation};
+pub use manager::{Durability, LogConfig, LogManager, LogStats, Reservation, WakeKey};
 pub use records::{
     checksum32, checksum64, BlockKind, DecideRecord, LogBlockHeader, LogRecord, LogRecordKind,
     PrepareMarker, BLOCK_HEADER_LEN, BLOCK_MAGIC, DECIDE_BLOCK_LEN, DECIDE_RECORD_LEN,

@@ -4,6 +4,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -88,33 +89,55 @@ pub struct LogStats {
 /// the synchronous-commit path allocates it once per thread, ever.
 pub(crate) struct WaiterSlot {
     /// `true` once a flusher batch (or poison) decided this waiter's fate
-    /// and notified it. Written under `mx` so the wake cannot be missed.
+    /// and woke it. Written under `mx` so the wake cannot be missed.
     woken: Mutex<bool>,
     cv: Condvar,
 }
 
-impl WaiterSlot {
-    fn new() -> WaiterSlot {
-        WaiterSlot { woken: Mutex::new(false), cv: Condvar::new() }
+impl Wake for WaiterSlot {
+    fn wake(self: Arc<Self>) {
+        *self.woken.lock() = true;
+        self.cv.notify_one();
     }
 }
 
 thread_local! {
     /// Reused waiter slot: registering for durability is allocation-free
     /// after a thread's first synchronous commit.
-    static WAITER_SLOT: Arc<WaiterSlot> = Arc::new(WaiterSlot::new());
+    static WAITER_SLOT: Arc<WaiterSlot> =
+        Arc::new(WaiterSlot { woken: Mutex::new(false), cv: Condvar::new() });
 }
 
-/// Registry of parked durability waiters, min-ordered by target offset.
+/// What a non-blocking durability probe ([`LogManager::probe_durable`])
+/// found for one target offset.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Durability {
+    /// The durable watermark covers the target.
+    Durable,
+    /// The target can never become durable: the log is poisoned, or a
+    /// degraded-mode resume overwrote the block with skip records.
+    Poisoned(LogError),
+    /// Not durable yet; a later flush batch may still cover it.
+    Pending,
+}
+
+/// A durability wake registration ([`LogManager::register_wake`]), for
+/// withdrawing it with [`LogManager::deregister_wake`].
+#[derive(Clone, Copy, Debug)]
+pub struct WakeKey(u64, u64);
+
+/// Registry of durability waiters, min-ordered by target offset.
 ///
 /// The map key pairs the target with a unique sequence number so multiple
-/// waiters on the same offset coexist. The lowest target is mirrored into
-/// [`RingBuffer::set_demand`] whenever the front of the map changes, which
-/// is what lets `mark_filled` wake the flusher the instant a waiter's
-/// block is completely in the buffer.
+/// waiters on the same offset coexist. An entry is a [`Waker`]: a thread
+/// blocked in [`LogManager::wait_durable_for`] (its [`WaiterSlot`]) or
+/// any other callback, such as a server event loop's wake fd. The lowest
+/// target is mirrored into [`RingBuffer::set_demand`] whenever the front
+/// of the map changes, which is what lets `mark_filled` wake the flusher
+/// the instant a waiter's block is completely in the buffer.
 #[derive(Default)]
 pub(crate) struct WaiterRegistry {
-    map: Mutex<std::collections::BTreeMap<(u64, u64), Arc<WaiterSlot>>>,
+    map: Mutex<std::collections::BTreeMap<(u64, u64), Waker>>,
     seq: AtomicU64,
 }
 
@@ -151,32 +174,20 @@ pub(crate) struct LogInner {
 }
 
 impl LogInner {
-    /// Register `slot` as waiting for the durable watermark to reach
-    /// `target`; returns the registration key for deregistration. Resets
-    /// the slot's woken flag and republishes the lowest demand.
-    fn register_waiter(&self, target: u64, slot: &Arc<WaiterSlot>) -> (u64, u64) {
-        let key = (target, self.waiters.seq.fetch_add(1, Ordering::Relaxed));
+    /// Remove a registration and republish the lowest demand. Returns
+    /// false if the flusher (or poison) already popped it to fire it.
+    fn remove_waiter(&self, key: (u64, u64)) -> bool {
         let mut map = self.waiters.map.lock();
-        *slot.woken.lock() = false;
-        map.insert(key, Arc::clone(slot));
+        let removed = map.remove(&key).is_some();
         let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
         self.buffer.set_demand(lowest);
-        key
-    }
-
-    /// Remove a registration (timeout / poison / fast-path exit). The
-    /// flusher may already have popped it — that is fine.
-    fn deregister_waiter(&self, key: (u64, u64)) {
-        let mut map = self.waiters.map.lock();
-        map.remove(&key);
-        let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
-        self.buffer.set_demand(lowest);
+        removed
     }
 
     /// Flusher side: pop every waiter whose target the new durable
     /// watermark covers and wake exactly those (no thundering herd).
     pub(crate) fn notify_durable(&self, durable: u64) {
-        let ready: Vec<Arc<WaiterSlot>> = {
+        let ready: Vec<Waker> = {
             let mut map = self.waiters.map.lock();
             let mut ready = Vec::new();
             while let Some((&key, _)) = map.first_key_value() {
@@ -189,24 +200,21 @@ impl LogInner {
             self.buffer.set_demand(lowest);
             ready
         };
-        for slot in ready {
-            *slot.woken.lock() = true;
-            slot.cv.notify_one();
+        for waker in ready {
+            waker.wake();
         }
     }
 
-    /// Poison side: wake *every* parked waiter so it can observe the
+    /// Poison side: wake *every* registered waiter so it can observe the
     /// terminal error instead of sleeping to its deadline.
     pub(crate) fn notify_all_waiters(&self) {
-        let all: Vec<Arc<WaiterSlot>> = {
+        let all = {
             let mut map = self.waiters.map.lock();
             self.buffer.set_demand(u64::MAX);
-            let drained = std::mem::take(&mut *map);
-            drained.into_values().collect()
+            std::mem::take(&mut *map)
         };
-        for slot in all {
-            *slot.woken.lock() = true;
-            slot.cv.notify_one();
+        for waker in all.into_values() {
+            waker.wake();
         }
     }
 }
@@ -468,14 +476,52 @@ impl LogManager {
 
     /// [`Self::wait_durable`] with an explicit overall timeout.
     pub fn wait_durable_for(&self, end: u64, timeout: Duration) -> Result<(), LogError> {
-        let inner = &*self.inner;
+        match self.probe_durable(end) {
+            Durability::Durable => return Ok(()),
+            Durability::Poisoned(e) => return Err(e),
+            Durability::Pending => {}
+        }
         let deadline = std::time::Instant::now() + timeout;
+        let slot = WAITER_SLOT.with(Arc::clone);
+        let key = self.register_wake(end, &Waker::from(Arc::clone(&slot)));
+        let mut woken = slot.woken.lock();
+        let result = loop {
+            match self.probe_durable(end) {
+                Durability::Durable => break Ok(()),
+                Durability::Poisoned(e) => break Err(e),
+                Durability::Pending => {}
+            }
+            let now = std::time::Instant::now();
+            if now >= deadline {
+                // A poison landing between the probe above and this exit
+                // must still win: `Timeout` claims the commit's fate is
+                // indeterminate, but a poisoned log has settled it — the
+                // block will never become durable.
+                if self.is_poisoned() {
+                    break Err(self.poison_cause_or_default());
+                }
+                break Err(LogError::Timeout);
+            }
+            // A stale wake from a previous registration on this reused
+            // slot re-arms and keeps waiting; real wakes re-probe above.
+            *woken = false;
+            slot.cv.wait_for(&mut woken, deadline - now);
+        };
+        drop(woken);
+        self.deregister_wake(key);
+        result
+    }
+
+    /// The non-blocking head of [`Self::wait_durable_for`]: has the block
+    /// ending at `end` become durable, can it never become durable, or is
+    /// it still pending?
+    pub fn probe_durable(&self, end: u64) -> Durability {
         // Targets inside a resume gap were overwritten with skip blocks:
         // the watermark has moved past them, but the commit bytes are
-        // gone for good — reporting `Ok` here would acknowledge a commit
-        // that can never be recovered.
+        // gone for good — reporting durable here would acknowledge a
+        // commit that can never be recovered.
         if self.lost_to_resume_gap(end) {
-            return Err(LogError::Poisoned {
+            return Durability::Poisoned(LogError::Poisoned {
                 kind: std::io::ErrorKind::Other,
                 detail: "commit block was discarded by a degraded-mode resume; \
                          it never became durable"
@@ -483,55 +529,52 @@ impl LogManager {
             });
         }
         if self.durable_offset() >= end {
-            return Ok(());
+            return Durability::Durable;
         }
-        if inner.poisoned.load(Ordering::Acquire) {
-            return Err(self.poison_cause_or_default());
+        if self.inner.poisoned.load(Ordering::Acquire) {
+            return Durability::Poisoned(self.poison_cause_or_default());
         }
-        let slot = WAITER_SLOT.with(Arc::clone);
-        let key = inner.register_waiter(end, &slot);
-        // Ordering handshake: the flusher stores `durable` *before* it
-        // locks the registry to pop ready waiters, so after inserting
-        // ourselves a re-check of the watermark catches any batch that
-        // completed concurrently — either we see it durable here, or the
-        // flusher saw our registration and will wake us.
-        if inner.durable.load(Ordering::Acquire) >= end {
-            inner.deregister_waiter(key);
-            return Ok(());
+        Durability::Pending
+    }
+
+    /// Ask for `waker` to be woken once the block ending at `end` is
+    /// durable or the log poisons; either fires it exactly once. The
+    /// registration publishes `end` as flush demand, so a waiting target
+    /// gets the eager flush a blocked committer gets. If the target is
+    /// already settled by the time the registration is visible, `waker`
+    /// fires at once. Withdraw a registration that is no longer wanted
+    /// with [`Self::deregister_wake`].
+    pub fn register_wake(&self, end: u64, waker: &Waker) -> WakeKey {
+        let inner = &*self.inner;
+        let key = (end, inner.waiters.seq.fetch_add(1, Ordering::Relaxed));
+        {
+            let mut map = inner.waiters.map.lock();
+            map.insert(key, waker.clone());
+            let lowest = map.first_key_value().map(|(k, _)| k.0).unwrap_or(u64::MAX);
+            inner.buffer.set_demand(lowest);
         }
-        // Likewise the fill covering our target may have happened before
-        // our demand was published; wake the flusher ourselves then.
-        inner.buffer.kick_if_filled(end);
-        let mut woken = slot.woken.lock();
-        loop {
-            if inner.durable.load(Ordering::Acquire) >= end {
-                drop(woken);
-                inner.deregister_waiter(key);
-                return Ok(());
+        // Ordering handshake: the flusher stores `durable` (and poison
+        // stores `poisoned`) *before* it locks the registry to pop
+        // waiters, so after our insert either we see the new state here
+        // or the flusher saw our registration and will fire it. Only the
+        // side that removes the entry fires it.
+        if inner.durable.load(Ordering::Acquire) >= end || inner.poisoned.load(Ordering::Acquire) {
+            if inner.remove_waiter(key) {
+                waker.wake_by_ref();
             }
-            if inner.poisoned.load(Ordering::Acquire) {
-                drop(woken);
-                inner.deregister_waiter(key);
-                return Err(self.poison_cause_or_default());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                drop(woken);
-                inner.deregister_waiter(key);
-                // A poison landing between the loop's check above and this
-                // exit must still win: `Timeout` claims the commit's fate
-                // is indeterminate, but a poisoned log has settled it —
-                // the block will never become durable.
-                if inner.poisoned.load(Ordering::Acquire) {
-                    return Err(self.poison_cause_or_default());
-                }
-                return Err(LogError::Timeout);
-            }
-            // A stale wake from a previous registration on this reused
-            // slot re-arms and keeps waiting; real wakes re-check above.
-            *woken = false;
-            slot.cv.wait_for(&mut woken, deadline - now);
+        } else {
+            // The fill covering our target may have happened before our
+            // demand was published; wake the flusher ourselves then.
+            inner.buffer.kick_if_filled(end);
         }
+        WakeKey(key.0, key.1)
+    }
+
+    /// Withdraw a [`Self::register_wake`] registration. Once this
+    /// returns, no later flush batch or poison fires it; one the flusher
+    /// already popped may still be firing.
+    pub fn deregister_wake(&self, key: WakeKey) {
+        self.inner.remove_waiter((key.0, key.1));
     }
 
     /// True once the log has entered the terminal poisoned state.

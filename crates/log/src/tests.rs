@@ -406,3 +406,164 @@ fn idle_batching_preserved_when_nobody_waits() {
     }
     log.wait_durable(end).unwrap();
 }
+
+/// A [`std::task::Waker`] that counts its wakes.
+struct CountingWake(AtomicU64);
+
+impl std::task::Wake for CountingWake {
+    fn wake(self: std::sync::Arc<Self>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn counting_waker() -> (std::task::Waker, std::sync::Arc<CountingWake>) {
+    let count = std::sync::Arc::new(CountingWake(AtomicU64::new(0)));
+    (std::task::Waker::from(std::sync::Arc::clone(&count)), count)
+}
+
+/// Poll `cond` for up to `limit`; true once it holds.
+fn eventually(limit: std::time::Duration, cond: impl Fn() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + limit;
+    while std::time::Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    cond()
+}
+
+/// Reserve a one-record block; the caller fills it when it chooses.
+fn reserve(log: &LogManager, oid: u32) -> (crate::Reservation<'_>, Vec<u8>) {
+    let mut tx = TxLogBuffer::new();
+    tx.add_update(TableId(1), Oid(oid), b"key", b"value");
+    let res = log.allocate(tx.block_len()).unwrap();
+    (res, tx.serialize().to_vec())
+}
+
+#[test]
+fn wake_registration_fires_exactly_once_when_durable() {
+    let log = LogManager::open(LogConfig::in_memory()).unwrap();
+    let (waker, count) = counting_waker();
+    let (res, block) = reserve(&log, 1);
+    let end = res.end_offset();
+    log.register_wake(end, &waker);
+    assert_eq!(log.probe_durable(end), crate::Durability::Pending);
+    res.fill(&block);
+    assert!(
+        eventually(std::time::Duration::from_secs(5), || count.0.load(Ordering::SeqCst) > 0),
+        "the flush batch covering the target must fire the waker"
+    );
+    assert_eq!(log.probe_durable(end), crate::Durability::Durable);
+    // Later batches must not fire the spent registration again.
+    for oid in 2..6 {
+        commit_block(&log, 1, oid, b"later");
+    }
+    log.sync().unwrap();
+    assert_eq!(count.0.load(Ordering::SeqCst), 1);
+
+    // A target that is already durable fires at registration, once.
+    let (waker, count) = counting_waker();
+    log.register_wake(end, &waker);
+    assert_eq!(count.0.load(Ordering::SeqCst), 1);
+    commit_block(&log, 1, 9, b"later");
+    log.sync().unwrap();
+    assert_eq!(count.0.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn wake_registration_fires_on_poison() {
+    let dir = tmpdir("wake-poison");
+    let injector = crate::FaultInjector::new(crate::FaultPlan::default());
+    let cfg = LogConfig {
+        fsync: true,
+        io_factory: std::sync::Arc::new(injector.clone()),
+        flush_interval: std::time::Duration::from_secs(10),
+        ..small_cfg(Some(dir.clone()))
+    };
+    let log = LogManager::open(cfg).unwrap();
+    log.sync().unwrap();
+    let (waker, count) = counting_waker();
+    let (res, block) = reserve(&log, 1);
+    let end = res.end_offset();
+    log.register_wake(end, &waker);
+    assert_eq!(count.0.load(Ordering::SeqCst), 0);
+    // Storage vanishes: the flush the registration demands fails and
+    // poisons the log.
+    injector.crash_now();
+    res.fill(&block);
+    assert!(
+        eventually(std::time::Duration::from_secs(5), || count.0.load(Ordering::SeqCst) > 0),
+        "poison must fire every registered waker"
+    );
+    assert!(log.is_poisoned());
+    assert!(matches!(log.probe_durable(end), crate::Durability::Poisoned(_)));
+    assert_eq!(count.0.load(Ordering::SeqCst), 1);
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wake_registration_never_fires_after_deregistration() {
+    let log = LogManager::open(LogConfig::in_memory()).unwrap();
+    let (waker, count) = counting_waker();
+    let (res, block) = reserve(&log, 1);
+    let end = res.end_offset();
+    let key = log.register_wake(end, &waker);
+    log.deregister_wake(key);
+    res.fill(&block);
+    log.sync().unwrap();
+    assert!(log.durable_offset() >= end);
+    assert_eq!(count.0.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn wake_registration_publishes_flush_demand() {
+    // With a slow flush interval only published demand flushes a small
+    // block promptly: the registered target must count as demand,
+    // whether it is registered before the fill or after it.
+    let cfg =
+        LogConfig { flush_interval: std::time::Duration::from_secs(1), ..LogConfig::in_memory() };
+    let log = LogManager::open(cfg).unwrap();
+    for (oid, register_first) in [(1, true), (2, false)] {
+        let (waker, count) = counting_waker();
+        let (res, block) = reserve(&log, oid);
+        let end = res.end_offset();
+        if register_first {
+            log.register_wake(end, &waker);
+            res.fill(&block);
+        } else {
+            res.fill(&block);
+            log.register_wake(end, &waker);
+        }
+        assert!(
+            eventually(std::time::Duration::from_millis(500), || count.0.load(Ordering::SeqCst)
+                > 0),
+            "block {oid} (registered first: {register_first}) waited out the flush interval"
+        );
+        assert!(log.durable_offset() >= end);
+    }
+}
+
+#[test]
+fn probe_reports_poisoned_inside_a_resume_gap() {
+    let log = LogManager::open(LogConfig::in_memory()).unwrap();
+    log.halt_flusher_for_test();
+    let (res, block) = reserve(&log, 1);
+    let end = res.end_offset();
+    res.fill(&block);
+    assert_eq!(log.probe_durable(end), crate::Durability::Pending);
+    log.poison_quietly_for_test(ermia_common::LogError::Poisoned {
+        kind: std::io::ErrorKind::Other,
+        detail: "injected".into(),
+    });
+    assert!(matches!(log.probe_durable(end), crate::Durability::Poisoned(_)));
+    log.resume().unwrap();
+    // The watermark moved past the block, but resume overwrote it with
+    // skip records: it must never read as durable.
+    assert!(log.durable_offset() >= end);
+    assert!(matches!(log.probe_durable(end), crate::Durability::Poisoned(_)));
+    let (waker, count) = counting_waker();
+    log.register_wake(end, &waker);
+    assert_eq!(count.0.load(Ordering::SeqCst), 1, "a settled target fires at registration");
+}

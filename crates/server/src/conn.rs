@@ -28,8 +28,8 @@ pub(crate) const MAX_HTTP_HEAD: usize = 8 * 1024;
 pub(crate) enum Out {
     /// Fully framed (or raw, for HTTP) bytes ready to write.
     Bytes(Vec<u8>),
-    /// A sync commit parked on the durability parker; the frame arrives
-    /// as a completion carrying this sequence number. Later `Bytes`
+    /// A sync commit waiting for durability; the shard fills the slot
+    /// with this sequence number once the wait settles. Later `Bytes`
     /// entries wait behind it so replies stay in order.
     Pending { seq: u64 },
 }
@@ -172,7 +172,7 @@ pub(crate) struct Conn {
     pub read_shut: bool,
     /// The interest currently registered with the poller.
     pub interest: Interest,
-    /// Sequence numbers for parked durability completions.
+    /// Sequence numbers for parked sync-commit reply slots.
     pub next_seq: u64,
     /// Reused coalescing buffer: a run of small replies goes out in one
     /// `write` instead of one syscall per frame.
@@ -181,7 +181,7 @@ pub(crate) struct Conn {
 
 /// Outcome of a flush attempt.
 pub(crate) enum FlushState {
-    /// Nothing left to write (or blocked on a parked completion).
+    /// Nothing left to write (or blocked on a parked reply slot).
     Idle,
     /// The socket buffer filled; want write readiness.
     Blocked,
@@ -224,7 +224,7 @@ impl Conn {
         self.push(state, Response::Error { code, detail: detail.into() });
     }
 
-    /// Reserve an in-order slot for a parked durability completion.
+    /// Reserve an in-order slot for a parked sync-commit reply.
     pub fn push_pending(&mut self, state: &ServerState) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -14,8 +14,8 @@
 //!   [`ShardedWorkerPool`](ermia::ShardedWorkerPool) mapping requests to engine
 //!   workers per transaction, explicit `Busy` load shedding, in-order
 //!   pipelined replies with write-interest-driven partial-write state,
-//!   per-shard durability parkers for sync commits, and graceful
-//!   shutdown that drains in-flight commits.
+//!   sync commits that wait for durability on the event loop itself,
+//!   and graceful shutdown that drains in-flight commits.
 //! * [`Client`] — a pipelined client library used by the loopback bench
 //!   harness and the examples.
 //!

@@ -2,9 +2,9 @@
 //!
 //! The service layer is event-driven: [`ServerConfig::shards`] event
 //! loops (see [`crate::session`]) multiplex every connection over epoll,
-//! so OS threads scale with shards + engine workers + one durability
-//! parker per shard — never with connections. Shard 0 owns the
-//! non-blocking listener. Admission control happens at two levels:
+//! so OS threads scale with shards + engine workers — never with
+//! connections. Shard 0 owns the non-blocking listener. Admission
+//! control happens at two levels:
 //!
 //! 1. **Connection count** — beyond [`ServerConfig::max_sessions`] the
 //!    accepting shard writes a single [`Response::Busy`] frame and
@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 
 use crate::poll::WakeFd;
 use crate::protocol::MAX_FRAME_LEN;
-use crate::session::{run_parker, run_shard, Completion, ParkJob};
+use crate::session::{run_shard, ParkJob};
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
@@ -115,35 +115,27 @@ pub(crate) struct ShardStats {
     pub run_queue: AtomicUsize,
 }
 
-/// Cross-thread surface of one shard: how the accepting shard, the
-/// durability parker, and `Server::shutdown` reach its event loop.
+/// Cross-thread surface of one shard: how the accepting shard, a log
+/// flusher whose batch settles a parked sync commit, and
+/// `Server::shutdown` reach its event loop.
 pub(crate) struct ShardHandle {
-    /// Rings the shard's epoll wait.
+    /// Rings the shard's epoll wait. Parked sync commits register it,
+    /// as a `Waker`, with their log.
     pub wake: Arc<WakeFd>,
     /// Connections handed over by the accepting shard.
     pub inbox: Mutex<Vec<TcpStream>>,
-    /// Resolved durability waits from the shard's parker.
-    pub completions: Mutex<Vec<Completion>>,
-    /// Intake of the shard's durability parker; `None` once the shard
-    /// cut over to shutdown (which is what lets the parker exit).
-    pub park_tx: Mutex<Option<std::sync::mpsc::Sender<ParkJob>>>,
-    /// Sync commits whose inline durability probe missed; the shard
-    /// re-probes them at the end of the loop turn (one group-commit
-    /// flush usually lands in between) before paying the parker handoff.
-    pub deferred: Mutex<Vec<ParkJob>>,
+    /// Sync commits waiting for durability, settled once per loop turn.
+    /// Only the shard's own thread touches it.
+    pub parked: Mutex<Vec<ParkJob>>,
     /// The shard thread's ring: service-layer spans (frame decode,
-    /// run-queue wait, worker checkout, request) and the events the
-    /// event loop observes (session park/resume, chunks shipped, log
-    /// incidents surfaced inline).
+    /// run-queue wait, worker checkout, durability wait, request) and the
+    /// events the event loop observes (session park/resume, chunks
+    /// shipped, log incidents).
     pub trace_ring: Arc<Ring>,
-    /// The shard's durability parker thread's ring: durability waits
-    /// resolved off the event loop, with their resume and log-incident
-    /// events.
-    pub parker_ring: Arc<Ring>,
     pub stats: ShardStats,
 }
 
-/// Shared between shards, parkers, and the handle.
+/// Shared between the shards and the handle.
 pub(crate) struct ServerState {
     pub db: ShardedDb,
     pub cfg: ServerConfig,
@@ -151,6 +143,10 @@ pub(crate) struct ServerState {
     pub shutdown: AtomicBool,
     pub stats: Stats,
     pub shards: Vec<ShardHandle>,
+    /// A durability incident was reported and its flight-recorder dump
+    /// captured; cleared by the next committed sync reply or a
+    /// successful `Resume`, so each incident is dumped once.
+    pub incident_open: AtomicBool,
     /// Collector group in the database's registry; unregistered at
     /// shutdown.
     telemetry_group: u64,
@@ -179,18 +175,12 @@ impl Server {
         let local = listener.local_addr()?;
         let shard_count = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(shard_count);
-        let mut park_rxs = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            let (tx, rx) = std::sync::mpsc::channel::<ParkJob>();
-            park_rxs.push(rx);
             shards.push(ShardHandle {
                 wake: Arc::new(WakeFd::new()?),
                 inbox: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
-                park_tx: Mutex::new(Some(tx)),
-                deferred: Mutex::new(Vec::new()),
+                parked: Mutex::new(Vec::new()),
                 trace_ring: db.telemetry().tracer().ring(),
-                parker_ring: db.telemetry().tracer().ring(),
                 stats: ShardStats::default(),
             });
         }
@@ -202,6 +192,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             shards,
+            incident_open: AtomicBool::new(false),
             telemetry_group,
         });
         // Weak: the registry lives inside the database the state holds,
@@ -212,20 +203,14 @@ impl Server {
                 collect_server(&s, out);
             }
         });
-        let mut threads = Vec::with_capacity(shard_count * 2);
-        for (i, rx) in park_rxs.into_iter().enumerate() {
+        let mut threads = Vec::with_capacity(shard_count);
+        for i in 0..shard_count {
             let shard_state = Arc::clone(&state);
             let shard_listener = if i == 0 { Some(listener.try_clone()?) } else { None };
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ermia-shard-{i}"))
                     .spawn(move || run_shard(shard_state, i, shard_listener))?,
-            );
-            let parker_state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ermia-parker-{i}"))
-                    .spawn(move || run_parker(parker_state, i, rx))?,
             );
         }
         drop(listener); // shard 0 holds the only remaining handle
@@ -266,7 +251,6 @@ impl Server {
         telemetry.registry().unregister_group(self.state.telemetry_group);
         for shard in &self.state.shards {
             telemetry.tracer().retire(&shard.trace_ring);
-            telemetry.tracer().retire(&shard.parker_ring);
         }
         // Every shard blocks in epoll_wait; its event fd gets it moving.
         for shard in &self.state.shards {

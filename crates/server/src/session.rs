@@ -27,17 +27,20 @@
 //! returns the worker. Nothing leaks because cleanup is drop order, not
 //! bookkeeping.
 //!
-//! # Durability parker
+//! # Durability waits
 //!
 //! A synchronous commit must not pin a thread while group commit
-//! fsyncs. `commit_deferred` yields a [`CommitToken`]; the connection
-//! queues an in-order placeholder reply and posts the token to the
-//! shard's durability parker — one thread per shard that resolves
-//! waits FIFO against absolute deadlines (enqueue time + `sync_wait`,
-//! so concurrent stalls share one window) and posts the finished frame
-//! back through the shard's completion mailbox + wake fd. A stalled
-//! log therefore parks sessions, not threads, and the client gets the
-//! typed [`ErrorCode::LogStalled`] when the window lapses.
+//! fsyncs. `commit_deferred` yields a [`ShardedCommitToken`]; the
+//! connection queues an in-order placeholder reply and the shard parks
+//! the token. Once per loop turn the shard settles every parked token in
+//! one place (`settle_parked`): a non-blocking probe of the token's log
+//! decides `Committed` or `LogFailed`, and a token still pending past
+//! its absolute deadline (park time + `sync_wait`, so concurrent stalls
+//! share one window) gets the typed [`ErrorCode::LogStalled`]. A token
+//! that misses registers the shard's wake fd with its log, so the flush
+//! batch that makes it durable wakes the loop; the loop never sleeps
+//! past the oldest parked deadline. A stalled log therefore parks
+//! sessions, not threads.
 //!
 //! # Shutdown
 //!
@@ -46,20 +49,19 @@
 //! timeouts. Each shard closes the listener, drains a quiet window so
 //! already-flushed client frames still get served, aborts what remains
 //! (`ShuttingDown` frames to open transactions), flushes outbound
-//! queues — including parked sync commits resolving through the parker
-//! — and joins.
+//! queues — parked sync commits keep settling meanwhile — and joins.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use ermia::{IsolationLevel, NodeRole, PooledShardedWorker, ShardedCommitToken};
-use ermia_common::LogError;
+use ermia_log::{Durability, WakeKey};
 use ermia_telemetry::{render_spans, EventKind, Ring, Span, SpanKind};
 
 use crate::conn::{
@@ -85,24 +87,21 @@ const TOK_WAKE: u64 = 0;
 const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// A sync commit handed to the durability parker.
+/// A sync commit waiting for durability on its shard's event loop.
 pub(crate) struct ParkJob {
-    pub conn: u64,
-    pub seq: u64,
-    pub token: ShardedCommitToken,
+    conn: u64,
+    seq: u64,
+    token: ShardedCommitToken,
     /// Batch per-op results that ride along into the `BatchDone` frame.
-    pub batch: Option<Vec<Response>>,
-    pub enqueued: Instant,
-    /// Trace of the committing request; resolution records the
-    /// durability-wait span and closes the request span.
-    pub trace: Option<TraceReq>,
-}
-
-/// A resolved durability wait, posted back to the owning shard.
-pub(crate) struct Completion {
-    pub conn: u64,
-    pub seq: u64,
-    pub bytes: Vec<u8>,
+    batch: Option<Vec<Response>>,
+    enqueued: Instant,
+    /// Trace of the committing request plus the park timestamp
+    /// (tracer-epoch ns); settling records the durability-wait span and
+    /// closes the request span.
+    trace: Option<(TraceReq, u64)>,
+    /// The shard's wake fd registration with the token's log, taken on
+    /// the job's first missed probe.
+    wake: Option<WakeKey>,
 }
 
 enum Phase {
@@ -113,7 +112,8 @@ enum Phase {
     /// connections still working through a backlog); `hard` caps the
     /// window against a client that never stops sending.
     Drain { soft: Instant, hard: Instant },
-    /// Reads cut off; flushing outbound queues (and parked commits).
+    /// Reads cut off; flushing outbound queues (and settling parked
+    /// commits).
     Flush { deadline: Instant },
 }
 
@@ -138,6 +138,9 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
     let mut rr = 0usize; // round-robin accept target (shard 0 only)
     let mut events: Vec<Event> = Vec::new();
     let mut phase = Phase::Running;
+    // The oldest parked sync commit's `LogStalled` deadline: the loop
+    // never sleeps past it (its log's flusher wakes it sooner).
+    let mut parked_deadline: Option<Instant> = None;
 
     loop {
         let now = Instant::now();
@@ -158,6 +161,8 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 Some(deadline.saturating_duration_since(now).min(Duration::from_millis(100)))
             }
         };
+        let until_stall = parked_deadline.map(|d| d.saturating_duration_since(now));
+        let timeout = timeout.into_iter().chain(until_stall).min();
         let _ = poller.wait(&mut events, timeout);
         handle.stats.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
 
@@ -197,20 +202,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 // Accepted just before shutdown: account and drop.
                 state.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                 state.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Resolved durability waits.
-        let comps: Vec<Completion> = {
-            let mut c = handle.completions.lock();
-            if c.is_empty() { Vec::new() } else { std::mem::take(&mut *c) }
-        };
-        for c in comps {
-            let Some(conn) = conns.get_mut(&c.conn) else { continue };
-            conn.complete(c.seq, c.bytes);
-            touched.push(c.conn);
-            if service(&state, handle, conn) {
-                to_close.push(c.conn);
             }
         }
 
@@ -258,17 +249,7 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
             }
         }
 
-        // Second-chance durability probes for this turn's sync commits.
-        // Serving a resolved commit can unblock further frames that park
-        // again, so drain until empty — later passes forward their
-        // misses to the parker, so this terminates and the loop never
-        // sleeps on an unforwarded job.
-        loop {
-            drain_deferred(&state, handle, &mut conns, &mut touched, &mut to_close);
-            if handle.deferred.lock().is_empty() {
-                break;
-            }
-        }
+        parked_deadline = settle_parked(&state, handle, &mut conns, &mut touched, &mut to_close);
 
         to_close.sort_unstable();
         to_close.dedup();
@@ -316,7 +297,6 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 } else if now >= soft {
                     quiesce_idle(&state, handle, &mut conns);
                     if conns.values().all(|c| c.draining) {
-                        *handle.park_tx.lock() = None;
                         phase = Phase::Flush {
                             deadline: now + state.cfg.sync_wait + Duration::from_secs(1),
                         };
@@ -340,6 +320,13 @@ pub(crate) fn run_shard(state: Arc<ServerState>, idx: usize, mut listener: Optio
                 if conns.is_empty() || now >= deadline {
                     for (_, c) in conns.drain() {
                         close_conn(&state, handle, &poller, c);
+                    }
+                    // Jobs still parked belong to closed connections:
+                    // withdraw their wake registrations from the logs.
+                    for job in handle.parked.lock().drain(..) {
+                        if let Some(key) = job.wake {
+                            job.token.deregister_wake(&state.db, key);
+                        }
                     }
                     return;
                 }
@@ -950,7 +937,7 @@ fn run_batch(
     }
 }
 
-/// Hand a sync commit to the shard's durability parker, reserving its
+/// Park a sync commit until its durability settles, reserving its
 /// in-order reply slot.
 fn park_commit(
     state: &Arc<ServerState>,
@@ -960,134 +947,100 @@ fn park_commit(
     batch: Option<Vec<Response>>,
     trace: Option<TraceReq>,
 ) {
-    // Group commit means the target is often already durable by the time
-    // the reply is built: probe with zero patience before paying the
-    // parker round trip (cross-thread handoff, eventfd wake, an extra
-    // event-loop turn). The probe also surfaces a poisoned log inline.
-    let t_probe = if trace.is_some() { handle.trace_ring.now_ns() } else { 0 };
-    match token.wait_durable(&state.db, Duration::ZERO) {
-        Ok(()) => {
-            let outcome = Response::Committed { lsn: token.lsn().raw() };
-            conn.push(
-                state,
-                match batch {
-                    Some(results) => {
-                        Response::BatchDone { results, outcome: Box::new(outcome) }
-                    }
-                    None => outcome,
-                },
-            );
-            if let Some(tr) = trace {
-                let ring = &handle.trace_ring;
-                ring.record(&tr.child(), SpanKind::DurabilityWait, t_probe, ring.now_ns(), 0, 0);
-                finish_trace(state, ring, &tr);
-            }
-            return;
-        }
-        Err(LogError::Timeout) => {} // not yet durable: park for real
-        Err(e @ LogError::Poisoned { .. }) => {
-            record_log_incident(state, &handle.trace_ring, EventKind::LogPoison, 1);
-            let outcome = Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() };
-            conn.push(
-                state,
-                match batch {
-                    Some(results) => {
-                        Response::BatchDone { results, outcome: Box::new(outcome) }
-                    }
-                    None => outcome,
-                },
-            );
-            if let Some(tr) = trace {
-                finish_trace(state, &handle.trace_ring, &tr);
-            }
-            return;
-        }
-    }
-
     let seq = conn.push_pending(state);
-    handle.trace_ring.event(EventKind::SessionParked, conn.token, seq);
-    let job = ParkJob { conn: conn.token, seq, token, batch, enqueued: Instant::now(), trace };
-    handle.deferred.lock().push(job);
+    let ring = &handle.trace_ring;
+    ring.event(EventKind::SessionParked, conn.token, seq);
+    let trace = trace.map(|tr| (tr, ring.now_ns()));
+    handle.parked.lock().push(ParkJob {
+        conn: conn.token,
+        seq,
+        token,
+        batch,
+        enqueued: Instant::now(),
+        trace,
+        wake: None,
+    });
 }
 
-/// Record the durability-wait span for a parked commit resolving now
-/// (wait measured from park time) and close its request span.
-fn finish_parked_trace(state: &ServerState, ring: &Ring, job_enqueued: Instant, tr: &TraceReq) {
-    let now = ring.now_ns();
-    let start = now.saturating_sub(job_enqueued.elapsed().as_nanos() as u64);
-    ring.record(&tr.child(), SpanKind::DurabilityWait, start, now, 0, 0);
-    finish_trace(state, ring, tr);
-}
-
-/// End-of-turn second chance for commits whose inline probe missed:
-/// re-probe with zero patience (the flusher usually landed a batch while
-/// the rest of the turn ran) and hand only genuine stragglers to the
-/// parker thread.
-fn drain_deferred(
+/// Settle the shard's parked sync commits; the one place a durability
+/// outcome becomes a reply. A durable block replies `Committed`, a
+/// poisoned log (or a block a resume discarded) `LogFailed`, and a job
+/// still pending once `sync_wait` has passed since it parked
+/// `LogStalled`. Any other job stays parked, registering the shard's
+/// wake fd with its log on its first miss. Serving a reply can dispatch
+/// frames that park again, so passes repeat until one parks nothing new.
+/// Returns the oldest remaining job's `LogStalled` deadline.
+fn settle_parked(
     state: &Arc<ServerState>,
     handle: &ShardHandle,
     conns: &mut HashMap<u64, Conn>,
     touched: &mut Vec<u64>,
     to_close: &mut Vec<u64>,
-) {
-    let jobs: Vec<ParkJob> = {
-        let mut d = handle.deferred.lock();
-        if d.is_empty() { Vec::new() } else { std::mem::take(&mut *d) }
-    };
-    for job in jobs {
-        let probe = match job.token.wait_durable(&state.db, Duration::ZERO) {
-            Ok(()) => Some(Response::Committed { lsn: job.token.lsn().raw() }),
-            Err(LogError::Timeout) => None, // still in flight
-            Err(e @ LogError::Poisoned { .. }) => {
-                record_log_incident(state, &handle.trace_ring, EventKind::LogPoison, 1);
-                Some(Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() })
-            }
-        };
-        let (job, outcome) = match probe {
-            Some(outcome) => (job, outcome),
-            None => {
-                let returned = match &*handle.park_tx.lock() {
-                    Some(tx) => match tx.send(job) {
-                        Ok(()) => None, // the parker owns it now
-                        Err(std::sync::mpsc::SendError(job)) => Some(job),
-                    },
-                    None => Some(job),
-                };
-                match returned {
-                    None => continue,
-                    // Parker already gone (shutdown race): resolve inline
-                    // so the reply slot never wedges.
-                    Some(job) => (
-                        job,
-                        Response::Error {
-                            code: ErrorCode::LogStalled,
-                            detail: "durability wait timed out; commit fate indeterminate"
-                                .into(),
-                        },
-                    ),
-                }
-            }
-        };
-        if let Some(tr) = &job.trace {
-            finish_parked_trace(state, &handle.trace_ring, job.enqueued, tr);
+) -> Option<Instant> {
+    let ring = &handle.trace_ring;
+    let waker = Waker::from(Arc::clone(&handle.wake));
+    let mut pending = Vec::new();
+    loop {
+        let jobs = std::mem::take(&mut *handle.parked.lock());
+        if jobs.is_empty() {
+            break;
         }
-        let resp = match job.batch {
-            Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
-            None => outcome,
-        };
-        handle.trace_ring.event(
-            EventKind::SessionResumed,
-            job.conn,
-            job.enqueued.elapsed().as_micros() as u64,
-        );
-        if let Some(conn) = conns.get_mut(&job.conn) {
-            conn.complete(job.seq, frame_bytes(&resp));
-            touched.push(job.conn);
-            if service(state, handle, conn) {
-                to_close.push(job.conn);
+        let now = Instant::now();
+        for mut job in jobs {
+            let outcome = match job.token.probe_durable(&state.db) {
+                Durability::Durable => {
+                    if state.incident_open.load(Ordering::Relaxed) {
+                        state.incident_open.store(false, Ordering::Relaxed);
+                    }
+                    Response::Committed { lsn: job.token.lsn().raw() }
+                }
+                Durability::Poisoned(e) => {
+                    record_log_incident(state, ring, EventKind::LogPoison, 1);
+                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
+                }
+                Durability::Pending if now >= job.enqueued + state.cfg.sync_wait => {
+                    // A durable or poisoned outcome leaves nothing to
+                    // withdraw: the flusher pops the registration itself.
+                    if let Some(key) = job.wake.take() {
+                        job.token.deregister_wake(&state.db, key);
+                    }
+                    let waited_ms = state.cfg.sync_wait.as_millis() as u64;
+                    record_log_incident(state, ring, EventKind::LogStall, waited_ms);
+                    Response::Error {
+                        code: ErrorCode::LogStalled,
+                        detail: "durability wait timed out; commit fate indeterminate".into(),
+                    }
+                }
+                Durability::Pending => {
+                    if job.wake.is_none() {
+                        job.wake = job.token.register_wake(&state.db, &waker);
+                    }
+                    pending.push(job);
+                    continue;
+                }
+            };
+            if let Some((tr, parked_ns)) = &job.trace {
+                ring.record(&tr.child(), SpanKind::DurabilityWait, *parked_ns, ring.now_ns(), 0, 0);
+                finish_trace(state, ring, tr);
+            }
+            let waited_us = job.enqueued.elapsed().as_micros() as u64;
+            ring.event(EventKind::SessionResumed, job.conn, waited_us);
+            let resp = match job.batch {
+                Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
+                None => outcome,
+            };
+            if let Some(conn) = conns.get_mut(&job.conn) {
+                conn.complete(job.seq, frame_bytes(&resp));
+                touched.push(job.conn);
+                if service(state, handle, conn) {
+                    to_close.push(job.conn);
+                }
             }
         }
     }
+    let oldest = pending.iter().map(|job| job.enqueued).min();
+    *handle.parked.lock() = pending;
+    oldest.map(|t| t + state.cfg.sync_wait)
 }
 
 // ---------------------------------------------------------------------
@@ -1292,7 +1245,10 @@ fn do_fetch_chunk(
 /// failed re-probe keeps the database degraded and reports why.
 fn do_resume(state: &Arc<ServerState>, conn: &mut Conn) {
     match state.db.resume() {
-        Ok(()) => push_health(state, conn),
+        Ok(()) => {
+            state.incident_open.store(false, Ordering::Relaxed);
+            push_health(state, conn)
+        }
         Err(e) => conn.push_err(
             state,
             ErrorCode::DegradedReadOnly,
@@ -1349,8 +1305,8 @@ fn quiesce_idle(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut Hash
 }
 
 /// The drain window's hard cap: abort open transactions (telling their
-/// clients), cancel parked admissions, stop all reads, and close the
-/// parker intake so it can finish and exit once queued waits resolve.
+/// clients), cancel parked admissions, and stop all reads. Parked sync
+/// commits keep settling on the loop until the flush phase ends.
 fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u64, Conn>) {
     for conn in conns.values_mut() {
         if conn.waiting.take().is_some() {
@@ -1365,76 +1321,19 @@ fn cutoff(state: &Arc<ServerState>, handle: &ShardHandle, conns: &mut HashMap<u6
         conn.draining = true;
         let _ = conn.flush(state, &handle.stats);
     }
-    *handle.park_tx.lock() = None;
-}
-
-// ---------------------------------------------------------------------
-// Durability parker
-// ---------------------------------------------------------------------
-
-/// One per shard: resolves sync-commit durability waits off the event
-/// loop, FIFO with absolute deadlines, posting finished frames back
-/// through the shard's completion mailbox. Exits when the shard drops
-/// the intake at cutoff and the queue drains.
-pub(crate) fn run_parker(state: Arc<ServerState>, idx: usize, rx: Receiver<ParkJob>) {
-    let handle = &state.shards[idx];
-    while let Ok(first) = rx.recv() {
-        // One flush batch typically resolves a whole run of parked
-        // commits at once: drain whatever else has queued and resolve
-        // the lot, posting a single wake instead of one per job.
-        let mut jobs = vec![first];
-        while let Ok(more) = rx.try_recv() {
-            jobs.push(more);
-        }
-        let mut done = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let deadline = job.enqueued + state.cfg.sync_wait;
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let outcome = match job.token.wait_durable(&state.db, remaining) {
-                Ok(()) => Response::Committed { lsn: job.token.lsn().raw() },
-                Err(LogError::Timeout) => {
-                    record_log_incident(
-                        &state,
-                        &handle.parker_ring,
-                        EventKind::LogStall,
-                        state.cfg.sync_wait.as_millis() as u64,
-                    );
-                    Response::Error {
-                        code: ErrorCode::LogStalled,
-                        detail: "durability wait timed out; commit fate indeterminate".into(),
-                    }
-                }
-                Err(e @ LogError::Poisoned { .. }) => {
-                    record_log_incident(&state, &handle.parker_ring, EventKind::LogPoison, 1);
-                    Response::Error { code: ErrorCode::LogFailed, detail: e.to_string() }
-                }
-            };
-            if let Some(tr) = &job.trace {
-                finish_parked_trace(&state, &handle.parker_ring, job.enqueued, tr);
-            }
-            let resp = match job.batch {
-                Some(results) => Response::BatchDone { results, outcome: Box::new(outcome) },
-                None => outcome,
-            };
-            handle.parker_ring.event(
-                EventKind::SessionResumed,
-                job.conn,
-                job.enqueued.elapsed().as_micros() as u64,
-            );
-            done.push(Completion { conn: job.conn, seq: job.seq, bytes: frame_bytes(&resp) });
-        }
-        handle.completions.lock().extend(done);
-        handle.wake.wake();
-    }
 }
 
 /// A durability incident just surfaced to a client: stamp it into the
-/// ring of the thread that observed it (`ring`), capture a bounded
+/// shard's ring and, on the incident's first report, capture a bounded
 /// flight-recorder dump, park it for later retrieval, and mirror it to
-/// stderr. The ring lives as long as the server, so `DumpEvents` frames
-/// sent after the fact still see the incident.
+/// stderr. Later reports add only their event, so the parked dump keeps
+/// the history that led up to the incident. The ring lives as long as
+/// the server, so `DumpEvents` frames sent after the fact still see it.
 fn record_log_incident(state: &ServerState, ring: &Ring, kind: EventKind, a: u64) {
     ring.event(kind, a, 0);
+    if state.incident_open.swap(true, Ordering::Relaxed) {
+        return;
+    }
     let telemetry = state.db.telemetry();
     let dump = telemetry.dump_events(DEFAULT_DUMP_EVENTS);
     telemetry.tracer().store_last_dump(dump.clone());

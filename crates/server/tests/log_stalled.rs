@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use ermia::{Database, DbConfig};
 use ermia_log::{FaultInjector, FaultPlan, LogConfig};
 use ermia_server::{
-    BatchOp, Client, ClientError, ErrorCode, Response, Server, ServerConfig, WireIsolation,
+    BatchOp, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireIsolation,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -169,5 +169,111 @@ fn poisoned_log_surfaces_logfailed_not_a_hang() {
         "poison must fail the wait immediately, not ride out sync_wait"
     );
     assert!(db.log().is_poisoned());
+    srv.shutdown();
+}
+
+/// Send `n` pipelined one-put sync batches on `c`, each followed by a
+/// `Get` of the key it wrote (`k{tag}-{i}`), without reading a reply.
+fn pipeline_sync_puts(c: &mut Client, t: u32, tag: usize, n: usize) {
+    for i in 0..n {
+        let key = format!("k{tag}-{i}").into_bytes();
+        c.send(&Request::Batch {
+            isolation: WireIsolation::Snapshot,
+            sync: true,
+            ops: vec![BatchOp::Put { table: t, key: key.clone(), value: b"v".to_vec() }],
+        })
+        .unwrap();
+        c.send(&Request::Get { table: t, key }).unwrap();
+    }
+    c.flush().unwrap();
+}
+
+/// Read the replies of [`pipeline_sync_puts`]: every commit must stall,
+/// and each `Get` must come back behind its commit, in request order.
+fn expect_stalled_in_order(c: &mut Client, n: usize) {
+    for i in 0..n {
+        match c.recv().unwrap() {
+            Response::BatchDone { outcome, .. } => assert!(
+                matches!(*outcome, Response::Error { code: ErrorCode::LogStalled, .. }),
+                "commit {i}: expected LogStalled, got {outcome:?}"
+            ),
+            other => panic!("commit {i}: expected BatchDone, got {other:?}"),
+        }
+        match c.recv().unwrap() {
+            Response::Value { value } => assert_eq!(value.as_deref(), Some(&b"v"[..])),
+            other => panic!("get {i}: expected its value, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn concurrent_stalls_share_one_window() {
+    let db = Database::open(DbConfig::durable(tmpdir("window"))).unwrap();
+    let sync_wait = Duration::from_millis(400);
+    let cfg = ServerConfig {
+        sync_wait,
+        shutdown_poll: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
+    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut clients: Vec<Client> =
+        (0..4).map(|_| Client::connect(srv.local_addr()).unwrap()).collect();
+    let t = clients[0].open_table("kv").unwrap();
+    db.log().halt_flusher_for_test();
+
+    // Every connection's window of sync commits waits out one shared
+    // `sync_wait`, not one per commit.
+    const WINDOW: usize = 8;
+    let started = Instant::now();
+    for (tag, c) in clients.iter_mut().enumerate() {
+        pipeline_sync_puts(c, t, tag, WINDOW);
+    }
+    for c in clients.iter_mut() {
+        expect_stalled_in_order(c, WINDOW);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed >= sync_wait - Duration::from_millis(50), "stalled early: {elapsed:?}");
+    assert!(elapsed < sync_wait * 2, "stalls must share one window, took {elapsed:?}");
+
+    // Every connection still serves requests.
+    for (tag, c) in clients.iter_mut().enumerate() {
+        let key = format!("k{tag}-0");
+        assert_eq!(c.get(t, key.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
+    }
+    srv.shutdown();
+}
+
+#[test]
+fn incident_dump_is_captured_once_per_incident() {
+    let db = Database::open(DbConfig::durable(tmpdir("dump-once"))).unwrap();
+    let cfg = ServerConfig {
+        sync_wait: Duration::from_millis(300),
+        shutdown_poll: Duration::from_millis(5),
+        ..ServerConfig::default()
+    };
+    let srv = Server::start(&db, "127.0.0.1:0", cfg).unwrap();
+    let mut clients: Vec<Client> =
+        (0..2).map(|_| Client::connect(srv.local_addr()).unwrap()).collect();
+    let t = clients[0].open_table("kv").unwrap();
+    db.log().halt_flusher_for_test();
+
+    // 150 commits stall together; more than a dump's worth of them.
+    for (tag, c) in clients.iter_mut().enumerate() {
+        pipeline_sync_puts(c, t, tag, 75);
+    }
+    for c in clients.iter_mut() {
+        expect_stalled_in_order(c, 75);
+    }
+
+    // The parked dump is the one taken at the first stall: the history
+    // that led up to it, not a screen of later stalls.
+    let dump = db.telemetry().tracer().last_dump().expect("incident dump stored");
+    let stalls = dump.lines().filter(|l| l.contains("log-stall")).count();
+    assert_eq!(stalls, 1, "the dump must hold the first stall only:\n{dump}");
+    assert!(dump.contains("txn-commit"), "the dump must show the commits before it:\n{dump}");
+    // Every stall still left its event in the flight recorder.
+    let events = clients[0].dump_events(1024).unwrap();
+    let recorded = events.lines().filter(|l| l.contains("log-stall")).count();
+    assert_eq!(recorded, 150, "one log-stall event per stalled commit:\n{events}");
     srv.shutdown();
 }

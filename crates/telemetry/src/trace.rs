@@ -1,8 +1,8 @@
 //! Flight events and distributed-tracing spans: one wait-free ring per
 //! writer, one clock, one merge.
 //!
-//! Every writer — a worker thread, a server event loop or durability
-//! parker, a replica's shipping loop, a database's background services —
+//! Every writer — a worker thread, a server event loop, a replica's
+//! shipping loop, a database's background services —
 //! owns one [`Ring`]. A slot holds one of two record kinds:
 //!
 //! * a **span**: one timed step of one traced request (frame decode,
@@ -123,8 +123,8 @@ pub enum EventKind {
     DbDegraded,
     /// The database resumed Active after an operator cleared the fault.
     DbResumed,
-    /// A server session parked a sync-commit reply on the durability
-    /// parker (the reply slot waits for the log instead of a thread).
+    /// A server session parked a sync-commit reply until its durability
+    /// settles (the reply slot waits for the log instead of a thread).
     SessionParked,
     /// A parked session's commit resolved; its reply slot was filled and
     /// write interest re-armed.
